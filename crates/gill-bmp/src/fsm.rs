@@ -184,7 +184,7 @@ pub enum BmpEvent {
 }
 
 /// Per-session message counters, mirrored into the shared
-/// [`crate::listener::BmpStats`] ledger by the drive loop.
+/// [`crate::listener::BmpStats`] ledger by the session runtime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BmpLedger {
     /// Frames decoded (all types).

@@ -1,10 +1,9 @@
-//! gill-runtime — the readiness-driven session runtime.
+//! gill-runtime — the collector's session runtime.
 //!
-//! The threaded runtime (PRs 1–9) spends one OS thread per session:
-//! simple, debuggable, and exactly what the paper's per-VP "custom BGP
-//! daemon" baseline looks like — but a route collector peering with
-//! thousands of vantage points cannot afford thousands of stacks and a
-//! scheduler thrashing between them. This crate multiplexes all of
+//! A route collector peering with thousands of vantage points cannot
+//! afford one OS thread per session: thousands of stacks and a
+//! scheduler thrashing between them. This crate is the only code that
+//! accepts and drives BGP and BMP sockets, and it multiplexes all of
 //! those sessions onto a small fixed worker set, without touching the
 //! protocol logic: the sans-I/O `SessionFsm` and `BmpFsm` already
 //! speak byte-in/byte-out, so the runtime only decides *when* bytes
@@ -30,7 +29,7 @@
 //!   queueing.
 //! - [`eventloop`] — [`eventloop::EventLoop`], one thread's worth of
 //!   multiplexing: slab of sessions, the wheel, readiness dispatch,
-//!   and the same counter semantics as the threaded drive loops.
+//!   and the `DaemonStats` / `BmpStats` session counters.
 //! - [`pool`] — [`pool::EventedPool`], the deployable shape: worker 0
 //!   owns the listeners, accepted connections are capacity-checked and
 //!   dispatched round-robin, everything feeds one shared `DaemonPool`

@@ -3,27 +3,24 @@
 //! BGP and BMP sessions.
 //!
 //! Worker 0 additionally owns the listeners. Accepted connections are
-//! capacity-checked (same 503-style shed as the threaded runtime),
-//! made non-blocking, and dispatched round-robin to the workers over
-//! crossbeam channels; the target worker's [`Waker`] interrupts its
-//! readiness wait so admission is immediate. Every session feeds the
-//! one shared [`DaemonPool`] pipeline (filters → validate → sink →
-//! bounded queue), so both runtimes share every downstream accounting
-//! invariant — the evented pool only changes *who blocks where*.
+//! capacity-checked (a 503-style shed: BGP peers get NOTIFICATION
+//! Cease, BMP routers a close), made non-blocking, and dispatched
+//! round-robin to the workers over crossbeam channels; the target
+//! worker's [`Waker`] interrupts its readiness wait so admission is
+//! immediate. Every session feeds the one shared [`DaemonPool`]
+//! pipeline (filters → validate → sink → bounded queue).
 
 use crate::eventloop::{EventLoop, LoopStats, Machine, LISTENER_TOKEN_BASE};
 use crate::reactor::{Reactor, Token, Waker};
 use crate::sys;
+use bgp_wire::{BgpMessage, Notification};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gill_bmp::config::BmpConfig;
 use gill_bmp::fsm::{BmpFsm, BmpSessionConfig};
 use gill_bmp::listener::BmpStats;
-use gill_collector::daemon::UpdateSink;
-use gill_collector::daemon::{
-    join_with_deadline, reject_over_capacity, DaemonConfig, DaemonPool, DaemonStats,
-};
+use gill_collector::daemon::{DaemonConfig, DaemonPool, DaemonStats, MessageStream, UpdateSink};
 use gill_collector::fsm::{SessionFsm, SessionRole};
-use gill_collector::transport::SystemClock;
+use gill_collector::transport::{SystemClock, Transport};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::io;
@@ -168,7 +165,7 @@ impl Acceptor {
                         self.bmp_stats
                             .accept_rejected
                             .fetch_add(1, Ordering::Relaxed);
-                        gill_collector::transport::Transport::shutdown(&mut stream);
+                        Transport::shutdown(&mut stream);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -189,7 +186,7 @@ impl EventedPool {
     /// Boots the evented runtime: builds the shared pipeline, binds the
     /// configured listeners, and spawns `rt.workers` event-loop
     /// threads. `sink` is the optional live-stream tee (as in
-    /// [`DaemonPool::start_with_sink`]).
+    /// [`DaemonPool::pipeline`]).
     pub fn start(
         cfg: DaemonConfig,
         rt: RuntimeConfig,
@@ -244,8 +241,7 @@ impl EventedPool {
         let mut loop_stats = Vec::new();
         for _ in 0..workers {
             let reactor = Reactor::new()?;
-            let mut ctx = pool.session_ctx();
-            ctx.shutdown = stop.clone();
+            let ctx = pool.session_ctx();
             let mut el: EventLoop<TcpStream, Reactor> =
                 EventLoop::new(reactor, clock.clone(), ctx, bmp_stats.clone());
             el.set_active_counter(active.clone());
@@ -320,8 +316,7 @@ impl EventedPool {
     }
 
     /// The shared pipeline (filters, counters, storage queue, §14
-    /// services). Query layers and storage drains attach here exactly
-    /// as they do for the threaded runtime.
+    /// services). Query layers and storage drains attach here.
     pub fn pool(&self) -> &DaemonPool {
         &self.pool
     }
@@ -378,9 +373,9 @@ impl EventedPool {
 
     /// Stops the runtime: listeners close with worker 0, every session
     /// winds down gracefully (BGP sends NOTIFICATION Cease), and the
-    /// workers are joined with a bounded deadline. The pipeline keeps
-    /// accepting drained updates until the caller stops the inner
-    /// [`DaemonPool`] (or this pool is dropped).
+    /// workers are joined with a bounded deadline. Then the pipeline
+    /// stops too: [`DaemonPool::drain_into`] returns once the queue is
+    /// empty.
     pub fn stop(&mut self) {
         if self.stop.swap(true, Ordering::Relaxed) {
             return;
@@ -391,13 +386,50 @@ impl EventedPool {
         }
         let handles = std::mem::take(&mut self.workers);
         let _stragglers = join_with_deadline(handles, Duration::from_secs(5));
+        self.pool.stop();
     }
 }
 
 impl Drop for EventedPool {
     fn drop(&mut self) {
         self.stop();
-        self.pool.request_stop();
+    }
+}
+
+/// 503-style accept rejection: the cap is reached, so tell the peer to
+/// go away (NOTIFICATION Cease — the standard administrative-shutdown
+/// signal) and close, without admitting anything.
+fn reject_over_capacity(stream: TcpStream, stats: &DaemonStats) {
+    stats.accept_rejected.fetch_add(1, Ordering::Relaxed);
+    let mut ms = MessageStream::new(stream);
+    let _ = ms.write_message(&BgpMessage::Notification(Notification::cease()));
+    Transport::shutdown(ms.transport_mut());
+}
+
+/// Joins `handles` with a bounded deadline, polling completion; threads
+/// still running when the deadline passes are detached (dropped), and
+/// their count is returned.
+fn join_with_deadline(mut handles: Vec<std::thread::JoinHandle<()>>, deadline: Duration) -> usize {
+    let t0 = Instant::now();
+    loop {
+        handles = handles
+            .into_iter()
+            .filter_map(|h| {
+                if h.is_finished() {
+                    let _ = h.join();
+                    None
+                } else {
+                    Some(h)
+                }
+            })
+            .collect();
+        if handles.is_empty() {
+            return 0;
+        }
+        if t0.elapsed() >= deadline {
+            return handles.len();
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end tests for the evented runtime over real TCP: BGP peers and
-//! BMP routers against an [`EventedPool`], asserting the same pipeline
-//! counters the threaded runtime maintains, the accept-cap shed path,
-//! and the bounded-deadline shutdown.
+//! BMP routers against an [`EventedPool`], asserting the shared pipeline
+//! counters, the accept-cap shed path, and the bounded-deadline
+//! shutdown.
 
 use bgp_types::{Asn, Prefix, UpdateBuilder, VpId};
 use bgp_wire::{BgpMessage, Notification, UpdateMessage};

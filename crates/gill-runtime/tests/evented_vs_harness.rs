@@ -1,7 +1,7 @@
 //! Conformance: the evented runtime drives the very same `SessionFsm`
-//! to the very same observable transcript as the deterministic
-//! threaded-mode harness (`gill_collector::harness::run_scenario`),
-//! fault schedule by fault schedule.
+//! to the very same observable transcript as the deterministic sans-I/O
+//! harness (`gill_collector::harness::run_scenario`), fault schedule by
+//! fault schedule.
 //!
 //! The reference runs both FSMs directly over a faulted [`sim_pair`]
 //! link. The evented run keeps the client side identical but serves the
@@ -9,8 +9,8 @@
 //! [`SimReactor`] — timers through the wheel, bytes through
 //! `EventedConn`, events through the tap — with seeded spurious and
 //! duplicate readiness injected along the way. Equal
-//! [`Transcript::digest`]s mean the two runtimes are observationally
-//! interchangeable for that fault schedule; the property test asserts
+//! [`Transcript::digest`]s mean the event loop and the harness are
+//! observationally interchangeable for that fault schedule; the property test asserts
 //! this across dozens of seeded random schedules and interleavings.
 
 use bgp_types::Prefix;
@@ -232,8 +232,8 @@ fn run_scenario_evented(scenario: &Scenario, interleave_seed: u64) -> EventedOut
             eof_seen: false,
         };
 
-        // a fresh loop per attempt, exactly as the threaded runtime
-        // spawns a fresh drive loop per accepted connection
+        // a fresh loop per attempt, exactly as the harness starts a
+        // fresh server FSM per connection attempt
         let stats = Arc::new(DaemonStats::default());
         let (tx, _rx) = crossbeam::channel::unbounded();
         let ctx = SessionCtx::new(FilterHandle::empty().view(), tx, stats);
@@ -423,14 +423,14 @@ fn assert_same_transcript(seed: u64, reference: &Transcript, evented: &Transcrip
         let rb = b.get(i).map(String::as_str).unwrap_or("<end>");
         assert_eq!(
             ra, rb,
-            "seed {seed}: transcripts diverge at line {i} (threaded vs evented)"
+            "seed {seed}: transcripts diverge at line {i} (harness vs evented)"
         );
     }
     panic!("seed {seed}: digests differ but no line diverged");
 }
 
 #[test]
-fn evented_matches_threaded_across_random_fault_schedules() {
+fn evented_matches_harness_across_random_fault_schedules() {
     for seed in 0..28u64 {
         let scenario = scenario_for(seed);
         let reference = run_scenario(&scenario);

@@ -1,20 +1,20 @@
 //! Live collector: runs the actual platform end to end on this machine —
-//! real RFC 4271 BGP sessions over loopback TCP, GILL filters installed by
-//! the orchestrator, and an MRT archive as output (§8–§9, Fig. 9).
+//! real RFC 4271 BGP sessions over loopback TCP on the evented session
+//! runtime, GILL filters installed by the orchestrator, and an MRT archive
+//! as output (§8–§9, Fig. 9).
 //!
 //! Run with: `cargo run --example live_collector --release`
 
-use gill::collector::{
-    run_fake_peer, DaemonConfig, DaemonPool, FakePeerConfig, MemoryStorage, Storage,
-};
+use gill::collector::{run_fake_peer, DaemonConfig, FakePeerConfig, MemoryStorage, Storage};
 use gill::core::{FilterGranularity, FilterSet};
 use gill::prelude::*;
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill::wire::MrtReader;
 
 fn main() -> std::io::Result<()> {
-    // 1. Start the daemon pool (the collector).
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default())?;
-    let addr = pool.local_addr();
+    // 1. Start the session runtime (the collector).
+    let mut pool = EventedPool::start(DaemonConfig::default(), RuntimeConfig::default(), None)?;
+    let addr = pool.bgp_addr().expect("bgp listener");
     println!("collector listening on {addr}");
 
     // 2. Install filters: drop prefix 0 from AS 65001 (a toy redundancy
@@ -27,7 +27,7 @@ fn main() -> std::io::Result<()> {
         [&template],
         FilterGranularity::VpPrefix,
     );
-    pool.install_filters(filters);
+    pool.pool().install_filters(filters);
 
     // 3. Three operators connect their routers (fake peers here), each
     //    sending 30 updates over 10 prefixes at ~50 upd/s.
@@ -50,7 +50,7 @@ fn main() -> std::io::Result<()> {
 
     // 4. Drain retained updates into storage and report.
     let mut mem = MemoryStorage::default();
-    pool.drain_into(&mut mem);
+    pool.pool().drain_into(&mut mem);
     let s = pool.stats();
     println!(
         "received {} | filtered {} | retained {} | lost {}",

@@ -13,8 +13,11 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Every flag this tool accepts (the ones its usage line prints).
+const FLAGS: &[&str] = &["updates", "ribs", "filters", "rp-target"];
+
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(FLAGS)?;
     let updates_path = PathBuf::from(args.required("updates")?);
     let ribs_path = args.optional("ribs").map(PathBuf::from);
     let filters_path = args.optional("filters").map(PathBuf::from);

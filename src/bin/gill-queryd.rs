@@ -25,8 +25,24 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag this tool accepts (the ones its usage line prints).
+const FLAGS: &[&str] = &[
+    "updates",
+    "data-dir",
+    "addr",
+    "filters",
+    "workers",
+    "shard-ms",
+    "snapshot-shards",
+    "store-mem-cap",
+    "ring-capacity",
+    "max-subscribers",
+    "replay-stream",
+    "stream-interval-ms",
+];
+
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(FLAGS)?;
     let updates_path = args.optional("updates").map(PathBuf::from);
     let data_dir = args.optional("data-dir").map(PathBuf::from);
     if updates_path.is_none() && data_dir.is_none() {

@@ -33,8 +33,26 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag this tool accepts (the ones its usage line prints).
+const FLAGS: &[&str] = &[
+    "updates",
+    "addpath",
+    "filters",
+    "out",
+    "bgp-to",
+    "bmp-to",
+    "serve",
+    "data-dir",
+    "store-mem-cap",
+    "stream-repeat",
+    "stream-wait-subs",
+    "stream-interval-ms",
+    "ring-capacity",
+    "max-subscribers",
+];
+
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(FLAGS)?;
     let updates_path = PathBuf::from(args.required("updates")?);
     let filters_path = args.optional("filters").map(PathBuf::from);
     let out = args.optional("out").map(PathBuf::from);

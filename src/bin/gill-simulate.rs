@@ -11,8 +11,13 @@ use gill::prelude::*;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Every flag this tool accepts (the ones its usage line prints).
+const FLAGS: &[&str] = &[
+    "out", "ribs", "ases", "coverage", "events", "duration", "seed",
+];
+
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
+    let args = Args::parse(FLAGS)?;
     let ases: usize = args.num("ases", 500)?;
     let coverage: f64 = args.num("coverage", 0.3)?;
     let events: usize = args.num("events", 100)?;

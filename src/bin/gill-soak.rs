@@ -16,8 +16,25 @@ use gill::soak::{run_soak, SoakConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Every flag this tool accepts (the ones its usage line prints).
+const FLAGS: &[&str] = &[
+    "seed",
+    "updates",
+    "vps",
+    "prefixes",
+    "campaign",
+    "mirror-cap",
+    "store-mem-cap",
+    "ring",
+    "bmp-vps",
+    "dual-stack",
+    "runs",
+    "data-dir",
+    "report",
+];
+
 fn run() -> Result<bool, String> {
-    let args = Args::parse()?;
+    let args = Args::parse(FLAGS)?;
     let seed: u64 = args.num("seed", 1)?;
     let updates: usize = args.num("updates", 50_000)?;
     let vps: u32 = args.num("vps", 6)?;
@@ -126,7 +143,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: gill-soak [--seed N] [--updates N] [--vps N] [--prefixes N] \
                  [--campaign leak,hijack,...] [--mirror-cap N] [--store-mem-cap BYTES] \
-                 [--ring N] [--bmp-vps N] [--runs N] [--data-dir DIR|none] [--report FILE]"
+                 [--ring N] [--bmp-vps N] [--dual-stack N] [--runs N] [--data-dir DIR|none] \
+                 [--report FILE]"
             );
             ExitCode::FAILURE
         }

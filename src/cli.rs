@@ -17,15 +17,26 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`. Flags must come in `--key value` pairs.
-    pub fn parse() -> Result<Args, String> {
-        let mut it = std::env::args();
+    /// Parses `std::env::args()`. Flags must come in `--key value` pairs,
+    /// and every key must be one of `known` (names without the `--`), so
+    /// a typo fails loudly instead of being silently ignored.
+    pub fn parse(known: &[&str]) -> Result<Args, String> {
+        Args::parse_from(std::env::args(), known)
+    }
+
+    /// [`Args::parse`] over an explicit argument list (program name
+    /// first).
+    fn parse_from(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Args, String> {
+        let mut it = args.into_iter();
         let program = it.next().unwrap_or_else(|| "gill".into());
         let mut map = HashMap::new();
         while let Some(k) = it.next() {
             let key = k
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {k:?}"))?;
+            if !known.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             map.insert(key.to_string(), v);
         }
@@ -160,6 +171,27 @@ pub fn read_ribs_mrt(path: &Path) -> std::io::Result<HashMap<VpId, Rib>> {
 mod tests {
     use super::*;
     use crate::prelude::*;
+
+    fn argv(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_by_name() {
+        let known = ["max-sessions", "listen"];
+        let args = Args::parse_from(argv(&["prog", "--max-sessions", "10"]), &known).unwrap();
+        assert_eq!(args.num("max-sessions", 0usize).unwrap(), 10);
+        assert_eq!(args.program(), "prog");
+        let err = Args::parse_from(argv(&["prog", "--max-sesions", "10"]), &known)
+            .err()
+            .unwrap();
+        assert_eq!(err, "unknown flag --max-sesions");
+        let err = Args::parse_from(argv(&["prog", "--listen"]), &known)
+            .err()
+            .unwrap();
+        assert_eq!(err, "--listen needs a value");
+        assert!(Args::parse_from(argv(&["prog", "listen"]), &known).is_err());
+    }
 
     #[test]
     fn updates_mrt_file_roundtrip() {

@@ -137,3 +137,15 @@ fn collectord_runs_and_archives_nothing_without_peers() {
     assert!(stdout.contains("received 0"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn collectord_rejects_a_misspelled_flag_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gill-collectord"))
+        .args(["--max-sesions", "10"])
+        .output()
+        .expect("gill-collectord runs");
+    assert!(!out.status.success(), "a typo must not be ignored");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --max-sesions"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+}

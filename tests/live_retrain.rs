@@ -4,12 +4,13 @@
 //! and the per-epoch `DaemonStats` counters account for every update.
 
 use gill::collector::{
-    handshake_client, handshake_server, run_session_with, sim_pair, CloseReason, DaemonConfig,
-    DaemonPool, DaemonStats, FaultSchedule, MessageStream, Orchestrator, OrchestratorConfig,
-    SessionCtx, VirtualClock,
+    handshake_client, sim_pair, Clock, CloseReason, DaemonConfig, DaemonStats, FaultSchedule,
+    MessageStream, Orchestrator, OrchestratorConfig, SessionCtx, SessionEvent, SessionFsm,
+    SessionRole, SimTransport, SystemClock, Transport, VirtualClock,
 };
 use gill::core::{FilterGranularity, FilterHandle, FilterSet};
 use gill::prelude::*;
+use gill::runtime::{EventedPool, RuntimeConfig};
 use gill::wire::{BgpMessage, Notification, UpdateMessage};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -48,6 +49,51 @@ fn publish(handle: &Arc<FilterHandle>, stats: &DaemonStats, fs: &FilterSet) -> u
 
 const PEERS: [u32; 3] = [65001, 65002, 65003];
 
+/// Serves one passive session over `link` until it closes: pumps the
+/// sans-I/O FSM by hand, offers every UPDATE to `ctx`, and returns why
+/// the session closed.
+fn serve(mut link: SimTransport, cfg: &DaemonConfig, ctx: &SessionCtx) -> CloseReason {
+    let clock = SystemClock::new();
+    let mut fsm = SessionFsm::new(SessionRole::Passive, cfg.session_config());
+    fsm.start(clock.now_ms());
+    let mut peer = None;
+    let mut buf = [0u8; 4096];
+    loop {
+        while fsm.has_output() {
+            let out = fsm.take_output();
+            if link.write_all(&out).is_err() {
+                fsm.handle_eof(clock.now_ms());
+                break;
+            }
+        }
+        while let Some(event) = fsm.poll_event() {
+            match event {
+                SessionEvent::Established { peer: p, .. } => peer = Some(p),
+                SessionEvent::Update(u) => {
+                    let now = Timestamp::from_millis(clock.now_ms());
+                    assert!(ctx.offer(peer.expect("established"), u, now));
+                }
+                SessionEvent::Closed(reason) => {
+                    if reason == CloseReason::HoldTimerExpired {
+                        ctx.stats.hold_expirations.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return reason;
+                }
+                _ => {}
+            }
+        }
+        match link.read(&mut buf) {
+            Ok(0) => fsm.handle_eof(clock.now_ms()),
+            Ok(n) => fsm.handle_bytes(&buf[..n], clock.now_ms()),
+            // nothing pending on the non-blocking link: let timers run
+            Err(_) => {
+                fsm.tick(clock.now_ms());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+}
+
 #[test]
 fn refresh_mid_stream_over_three_sim_sessions() {
     let clock = VirtualClock::new();
@@ -70,11 +116,7 @@ fn refresh_mid_stream_over_three_sim_sessions() {
             ctx.mirror = Some(mirror_tx.clone());
             ctx.mirror_on = Arc::new(AtomicBool::new(true));
             let cfg = cfg.clone();
-            servers.push(s.spawn(move || {
-                let mut ms = MessageStream::new(srv_t);
-                let session = handshake_server(&mut ms, &cfg).expect("handshake");
-                run_session_with(&mut ms, session, &ctx).expect("session io")
-            }));
+            servers.push(s.spawn(move || serve(srv_t, &cfg, &ctx)));
             let phase2 = &phase2;
             let done = &done;
             s.spawn(move || {
@@ -176,20 +218,31 @@ fn refresh_mid_stream_over_three_sim_sessions() {
 
 #[test]
 fn attached_orchestrator_retrains_live_tcp_pool() {
-    let mut pool = DaemonPool::start("127.0.0.1:0", DaemonConfig::default()).unwrap();
+    let mut pool = EventedPool::start(
+        DaemonConfig::default(),
+        RuntimeConfig {
+            workers: 2,
+            bgp_addr: Some("127.0.0.1:0".into()),
+            bmp: None,
+        },
+        None,
+    )
+    .unwrap();
     let orch = Orchestrator::new(
         OrchestratorConfig::default(),
         PEERS.iter().map(|&a| VpId::from_asn(Asn(a))).collect(),
         HashMap::new(),
     );
-    pool.attach_orchestrator(orch, Duration::from_millis(200))
+    pool.pool_mut()
+        .attach_orchestrator(orch, Duration::from_millis(200))
         .unwrap();
     // attaching twice is an error, not a second driver
     let orch2 = Orchestrator::new(OrchestratorConfig::default(), Vec::new(), HashMap::new());
     assert!(pool
+        .pool_mut()
         .attach_orchestrator(orch2, Duration::from_millis(200))
         .is_err());
-    let addr = pool.local_addr();
+    let addr = pool.bgp_addr().unwrap();
     let stats = pool.stats();
     let phase2 = Barrier::new(PEERS.len() + 1);
     let opened = AtomicUsize::new(0);
