@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,7 +87,7 @@ pub struct EventedPool {
     txs: Vec<Sender<Cmd>>,
     wakers: Vec<Waker>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
+    stopped: bool,
     active: Arc<AtomicUsize>,
     bgp_addr: Option<SocketAddr>,
     bmp_addrs: Vec<SocketAddr>,
@@ -197,7 +197,6 @@ impl EventedPool {
         let _ = sys::raise_nofile(65_536);
         let pool = DaemonPool::pipeline(cfg.clone(), sink);
         let bmp_stats = Arc::new(BmpStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let bmp_active = Arc::new(AtomicUsize::new(0));
         let known_peers = Arc::new(Mutex::new(HashSet::new()));
@@ -308,7 +307,7 @@ impl EventedPool {
             txs,
             wakers,
             workers: handles,
-            stop,
+            stopped: false,
             active,
             bgp_addr,
             bmp_addrs,
@@ -377,7 +376,7 @@ impl EventedPool {
     /// stops too: [`DaemonPool::drain_into`] returns once the queue is
     /// empty.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::Relaxed) {
+        if std::mem::replace(&mut self.stopped, true) {
             return;
         }
         for (tx, waker) in self.txs.iter().zip(&self.wakers) {
