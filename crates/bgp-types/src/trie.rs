@@ -149,6 +149,25 @@ impl<T> PrefixTrie<T> {
         best.map(|(p, v)| (p, v))
     }
 
+    /// Every stored prefix covering `prefix` (itself included), least
+    /// specific first: the chain whose last element `longest_match` returns.
+    pub fn covering<'a>(&'a self, prefix: &Prefix) -> Vec<(&'a Prefix, &'a T)> {
+        let mut cur = self.root(prefix);
+        let mut out: Vec<_> = self.nodes[cur].entry.iter().map(|(p, v)| (p, v)).collect();
+        for i in 0..prefix.len() {
+            match self.nodes[cur].children[bit_at(prefix, i)] {
+                Some(n) => {
+                    cur = n;
+                    if let Some((p, v)) = self.nodes[cur].entry.as_ref() {
+                        out.push((p, v));
+                    }
+                }
+                None => break,
+            }
+        }
+        out
+    }
+
     /// All stored prefixes covered by `prefix` (itself included) — the
     /// sub-prefix enumeration used for more-specific hijack checks.
     pub fn more_specifics<'a>(&'a self, prefix: &Prefix) -> Vec<(&'a Prefix, &'a T)> {
@@ -234,6 +253,29 @@ mod tests {
         assert_eq!(t.longest_match(&p("10.1.9.0/24")).unwrap().1, &16);
         assert_eq!(t.longest_match(&p("10.9.9.0/24")).unwrap().1, &8);
         assert!(t.longest_match(&p("11.0.0.0/8")).is_none());
+    }
+
+    #[test]
+    fn covering_lists_the_chain_least_specific_first() {
+        let t: PrefixTrie<u32> = [
+            (p("0.0.0.0/0"), 0),
+            (p("10.0.0.0/8"), 8),
+            (p("10.1.0.0/16"), 16),
+            (p("10.1.2.0/24"), 24),
+            (p("10.2.0.0/16"), 2),
+        ]
+        .into_iter()
+        .collect();
+        let vals = |q: &str| -> Vec<u32> { t.covering(&p(q)).iter().map(|(_, &v)| v).collect() };
+        assert_eq!(vals("10.1.2.0/24"), vec![0, 8, 16, 24]);
+        assert_eq!(vals("10.1.2.128/25"), vec![0, 8, 16, 24]);
+        assert_eq!(vals("10.1.0.0/16"), vec![0, 8, 16]);
+        assert_eq!(vals("11.0.0.0/8"), vec![0]);
+        assert!(t.covering(&p("2001:db8::/32")).is_empty());
+        for q in ["10.1.2.0/24", "10.1.9.0/24", "10.9.0.0/16", "11.0.0.0/8"] {
+            let last = t.covering(&p(q)).last().map(|(p, v)| (**p, **v));
+            assert_eq!(last, t.longest_match(&p(q)).map(|(p, v)| (*p, *v)), "{q}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use bgp_types::{
     AsPath, CommSetId, Community, Link, LinkSetId, PathId, Prefix, PrefixId, PrefixTrie,
 };
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -24,6 +24,41 @@ fn fingerprint<T: Hash + ?Sized>(v: &T) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
+}
+
+/// Fingerprint → candidate ids. Nearly every fingerprint names a single
+/// value, so its id sits inline in the table (no per-value `Vec` to
+/// allocate on insert or to chase on lookup); any further value under the
+/// same fingerprint goes to an overflow list.
+#[derive(Default)]
+struct Dedup {
+    first: HashMap<u64, u32>,
+    overflow: HashMap<u64, Vec<u32>>,
+}
+
+impl Dedup {
+    /// The candidate under `fp` for which `is_eq` holds, if any.
+    fn find(&self, fp: u64, is_eq: impl Fn(u32) -> bool) -> Option<u32> {
+        let &id = self.first.get(&fp)?;
+        if is_eq(id) {
+            return Some(id);
+        }
+        self.overflow
+            .get(&fp)?
+            .iter()
+            .copied()
+            .find(|&id| is_eq(id))
+    }
+
+    /// Records `id` as a candidate under `fp`.
+    fn insert(&mut self, fp: u64, id: u32) {
+        match self.first.entry(fp) {
+            Entry::Vacant(e) => {
+                e.insert(id);
+            }
+            Entry::Occupied(_) => self.overflow.entry(fp).or_default().push(id),
+        }
+    }
 }
 
 /// One interned AS path, with its link set precomputed so implicit
@@ -40,14 +75,14 @@ struct PathSlot {
 /// Dedup arena for AS paths.
 pub struct PathArena {
     slots: Vec<PathSlot>,
-    dedup: HashMap<u64, Vec<u32>>,
+    dedup: Dedup,
 }
 
 impl PathArena {
     fn new() -> Self {
         let mut a = PathArena {
             slots: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: Dedup::default(),
         };
         let id = a.intern(&AsPath::empty());
         debug_assert_eq!(id, PathId::EMPTY);
@@ -58,12 +93,10 @@ impl PathArena {
     /// slot only on first sight) and bumping its refcount.
     pub fn intern(&mut self, path: &AsPath) -> PathId {
         let fp = fingerprint(path);
-        let candidates = self.dedup.entry(fp).or_default();
-        for &id in candidates.iter() {
-            if self.slots[id as usize].path == *path {
-                self.slots[id as usize].refs += 1;
-                return PathId(id);
-            }
+        let slots = &self.slots;
+        if let Some(id) = self.dedup.find(fp, |id| slots[id as usize].path == *path) {
+            self.slots[id as usize].refs += 1;
+            return PathId(id);
         }
         let id = self.slots.len() as u32;
         let links: Box<[Link]> = path.links().into_iter().collect();
@@ -72,7 +105,7 @@ impl PathArena {
             links,
             refs: 1,
         });
-        candidates.push(id);
+        self.dedup.insert(fp, id);
         PathId(id)
     }
 
@@ -121,14 +154,14 @@ impl PathArena {
 /// exact round-trip.
 pub struct SetArena<T> {
     slots: Vec<(Box<[T]>, u64)>,
-    dedup: HashMap<u64, Vec<u32>>,
+    dedup: Dedup,
 }
 
 impl<T: Copy + Ord + Hash> SetArena<T> {
     fn new() -> Self {
         let mut a = SetArena {
             slots: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: Dedup::default(),
         };
         a.intern_sorted(&[]);
         a
@@ -144,16 +177,14 @@ impl<T: Copy + Ord + Hash> SetArena<T> {
             "input must be sorted+dedup"
         );
         let fp = fingerprint(items);
-        let candidates = self.dedup.entry(fp).or_default();
-        for &id in candidates.iter() {
-            if &*self.slots[id as usize].0 == items {
-                self.slots[id as usize].1 += 1;
-                return id;
-            }
+        let slots = &self.slots;
+        if let Some(id) = self.dedup.find(fp, |id| &*slots[id as usize].0 == items) {
+            self.slots[id as usize].1 += 1;
+            return id;
         }
         let id = self.slots.len() as u32;
         self.slots.push((items.to_vec().into_boxed_slice(), 1));
-        candidates.push(id);
+        self.dedup.insert(fp, id);
         id
     }
 
@@ -311,11 +342,12 @@ impl Interner {
     }
 }
 
-/// Sorted-slice set difference `a \ b` (both inputs sorted ascending); the
+/// Sorted-slice set difference `a \ b` (both inputs sorted ascending),
+/// written into `out` (cleared first, so ingest reuses one buffer); the
 /// slice analogue of `BTreeSet::difference`, so deriving `Lw`/`Cw` from
 /// interned slices matches `Rib::apply` on owned sets exactly.
-pub fn diff_sorted<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
+pub fn diff_sorted<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() {
         if j >= b.len() || a[i] < b[j] {
@@ -328,7 +360,6 @@ pub fn diff_sorted<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
             j += 1;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -405,8 +436,12 @@ mod tests {
         let av: Vec<Link> = a.iter().copied().collect();
         let bv: Vec<Link> = b.iter().copied().collect();
         let want: Vec<Link> = a.difference(&b).copied().collect();
-        assert_eq!(diff_sorted(&av, &bv), want);
-        assert_eq!(diff_sorted(&av, &[]), av);
-        assert_eq!(diff_sorted(&[] as &[Link], &bv), Vec::<Link>::new());
+        let mut out = vec![Link::new(Asn(7), Asn(7))];
+        diff_sorted(&av, &bv, &mut out);
+        assert_eq!(out, want);
+        diff_sorted(&av, &[], &mut out);
+        assert_eq!(out, av);
+        diff_sorted(&[] as &[Link], &bv, &mut out);
+        assert_eq!(out, Vec::<Link>::new());
     }
 }

@@ -32,7 +32,11 @@
 //! mismatch — surfaces as `io::ErrorKind::InvalidData` at load time rather
 //! than as silently wrong routes.
 
-use bgp_types::{AsPath, Asn, BgpUpdate, Community, Prefix, Timestamp, UpdateKind, VpId};
+use crate::arena::Interner;
+use bgp_types::{
+    AsPath, Asn, BgpUpdate, CommSetId, Community, PathId, Prefix, PrefixId, Timestamp, UpdateKind,
+    VpId,
+};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -91,7 +95,9 @@ pub struct Segment {
 }
 
 /// Incrementally builds a [`Segment`], deduplicating attribute values into
-/// the segment-local tables.
+/// the segment-local tables by hashing them. The store seals by arena id
+/// instead; this by-value builder is the reference its bytes are tested
+/// against.
 pub struct SegmentBuilder {
     seg: Segment,
     prefix_ids: HashMap<Prefix, u32>,
@@ -117,12 +123,7 @@ impl SegmentBuilder {
     /// Opens a record group for the lane of `vp_order[vp_idx]`, whose first
     /// record has lane-local index `start`. Returns the lane handle.
     pub fn add_lane(&mut self, vp_idx: u32, start: u64) -> usize {
-        self.seg.lanes.push(SegmentLane {
-            vp: vp_idx,
-            start,
-            recs: Vec::new(),
-        });
-        self.seg.lanes.len() - 1
+        self.seg.add_lane(vp_idx, start)
     }
 
     /// Appends one record to an open lane.
@@ -152,13 +153,109 @@ impl SegmentBuilder {
 
     /// Total records pushed so far.
     pub fn rec_count(&self) -> usize {
-        self.seg.lanes.iter().map(|l| l.recs.len()).sum()
+        self.seg.rec_count()
     }
 
     /// Finishes the segment.
     pub fn finish(self) -> Segment {
         self.seg
     }
+}
+
+/// Marks an arena id with no segment-local id yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// Builds a [`Segment`] from records already interned in the store's
+/// arenas. Each arena holds one id per distinct value, so a dense
+/// arena-id → local-id table dedups exactly like [`SegmentBuilder`]'s
+/// value hashing and hands out local ids in the same first-seen order:
+/// both write the same bytes. Each value is copied once, on first sight.
+pub(crate) struct ArenaSegmentBuilder<'a> {
+    interner: &'a Interner,
+    seg: Segment,
+    prefix_ids: Vec<u32>,
+    path_ids: Vec<u32>,
+    comm_ids: Vec<u32>,
+}
+
+impl<'a> ArenaSegmentBuilder<'a> {
+    /// Starts a segment over `interner` with the given sequence number and
+    /// VP order.
+    pub(crate) fn new(seq: u64, vp_order: Vec<VpId>, interner: &'a Interner) -> Self {
+        ArenaSegmentBuilder {
+            interner,
+            seg: Segment {
+                seq,
+                vp_order,
+                ..Segment::default()
+            },
+            prefix_ids: Vec::new(),
+            path_ids: Vec::new(),
+            comm_ids: Vec::new(),
+        }
+    }
+
+    /// As [`SegmentBuilder::add_lane`].
+    pub(crate) fn add_lane(&mut self, vp_idx: u32, start: u64) -> usize {
+        self.seg.add_lane(vp_idx, start)
+    }
+
+    /// Appends one record given by arena ids to an open lane.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn push(
+        &mut self,
+        lane: usize,
+        time_ms: u64,
+        prefix: PrefixId,
+        path: PathId,
+        comms: CommSetId,
+        kind: UpdateKind,
+        path_id: Option<u32>,
+    ) {
+        let arenas = self.interner;
+        let seg = &mut self.seg;
+        let prefix = local_id(&mut self.prefix_ids, &mut seg.prefixes, prefix.0, || {
+            arenas.prefixes.get(prefix)
+        });
+        let path = local_id(&mut self.path_ids, &mut seg.paths, path.0, || {
+            arenas.paths.get(path).clone()
+        });
+        let comms = local_id(&mut self.comm_ids, &mut seg.comm_sets, comms.0, || {
+            arenas.comm_sets.get(comms.0).to_vec()
+        });
+        seg.lanes[lane].recs.push(SegmentRec {
+            time_ms,
+            prefix,
+            path,
+            comms,
+            kind,
+            path_id,
+        });
+    }
+
+    /// Total records pushed so far.
+    pub(crate) fn rec_count(&self) -> usize {
+        self.seg.rec_count()
+    }
+
+    /// Finishes the segment.
+    pub(crate) fn finish(self) -> Segment {
+        self.seg
+    }
+}
+
+/// The local id of arena id `id`; on first sight appends `value()` to
+/// `table` and assigns the next local id.
+fn local_id<T>(map: &mut Vec<u32>, table: &mut Vec<T>, id: u32, value: impl FnOnce() -> T) -> u32 {
+    let slot = id as usize;
+    if slot >= map.len() {
+        map.resize(slot + 1, UNSEEN);
+    }
+    if map[slot] == UNSEEN {
+        map[slot] = table.len() as u32;
+        table.push(value());
+    }
+    map[slot]
 }
 
 fn intern<T, Q>(table: &mut Vec<T>, ids: &mut HashMap<T, u32>, value: &Q) -> u32
@@ -176,6 +273,19 @@ where
 }
 
 impl Segment {
+    fn add_lane(&mut self, vp_idx: u32, start: u64) -> usize {
+        self.lanes.push(SegmentLane {
+            vp: vp_idx,
+            start,
+            recs: Vec::new(),
+        });
+        self.lanes.len() - 1
+    }
+
+    fn rec_count(&self) -> usize {
+        self.lanes.iter().map(|l| l.recs.len()).sum()
+    }
+
     /// Serializes the segment (with trailing CRC) into `w`.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let mut buf = Vec::new();

@@ -10,7 +10,10 @@
 //! With a data directory attached, the backend also drives persistence:
 //! complete (aged-out) shards are sealed into segment files periodically
 //! during ingest, and [`Storage::flush`] seals the remaining tail so a
-//! clean shutdown loses nothing.
+//! clean shutdown loses nothing. A seal builds its segment under the
+//! shared lock, so queries keep running, writes and renames the file with
+//! no lock held, and takes the exclusive lock only to advance the store's
+//! sealed watermarks and counters. A failed write commits nothing.
 
 use crate::store::{RouteStore, StoreConfig};
 use gill_collector::storage::{Storage, StoredUpdate};
@@ -71,16 +74,15 @@ impl QueryableStorage {
         let Some(dir) = &self.data_dir else {
             return;
         };
-        let result = {
-            let mut store = self.store.write();
-            if all {
-                store.seal_all_into(dir)
-            } else {
-                store.seal_complete_into(dir)
-            }
+        // This backend's drain thread is the store's only sealer, so no
+        // other seal can commit between the build and the commit below.
+        let pending = self.store.read().prepare_seal(all);
+        let Some(pending) = pending else {
+            return;
         };
-        if let Err(e) = result {
-            eprintln!("gill-query: sealing to {} failed: {e}", dir.display());
+        match pending.write_into(dir) {
+            Ok(_) => self.store.write().commit_seal(pending),
+            Err(e) => eprintln!("gill-query: sealing to {} failed: {e}", dir.display()),
         }
     }
 }
@@ -150,6 +152,35 @@ mod tests {
         let mut reloaded = RouteStore::default();
         assert_eq!(reloaded.load_dir(&dir).unwrap(), 5);
         assert_eq!(reloaded.stats().updates, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_seal_write_commits_nothing() {
+        // a regular file where the data directory should be
+        let dir = std::env::temp_dir().join(format!("gill-qs-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let mut s = QueryableStorage::default().persist_to(dir.clone());
+        for i in 0..5u32 {
+            let u = UpdateBuilder::announce(VpId::from_asn(Asn(65000)), Prefix::synthetic(i))
+                .at(Timestamp::from_secs(i as u64))
+                .path([65000, 2, 3])
+                .build();
+            s.store(StoredUpdate { update: u });
+        }
+        s.flush();
+        let stats = s.handle().read().mem_stats();
+        assert_eq!((stats.sealed_segments, stats.sealed_updates), (0, 0));
+
+        // once the directory can be written, the next seal covers everything
+        std::fs::remove_file(&dir).unwrap();
+        s.flush();
+        let stats = s.handle().read().mem_stats();
+        assert_eq!((stats.sealed_segments, stats.sealed_updates), (1, 5));
+        let segs = crate::segment::list_segments(&dir).unwrap();
+        assert_eq!(segs.len(), 1);
+        assert_eq!(RouteStore::default().load_dir(&dir).unwrap(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,9 +13,12 @@
 //!   a per-prefix index of update references, so time-ranged
 //!   "what happened to p between t₁ and t₂" queries touch only the shards
 //!   that overlap the range;
-//! * **live looking-glass table** — a cross-VP [`PrefixTrie`] of current
-//!   best routes plus an origin-AS refcount index, serving the
-//!   fernglas-style exact/LPM/more-specifics lookups in O(prefix length).
+//! * **live looking-glass table** — current best routes across VPs in a
+//!   dense table indexed by interned prefix id, plus an origin-AS
+//!   refcount index. Exact lookups index the table; LPM and
+//!   more-specifics walk the prefix arena's trie (the store's only prefix
+//!   trie) and skip prefixes with no live route, so the fernglas-style
+//!   lookups stay O(prefix length) while ingest touches no trie at all.
 //!
 //! This implementation differs from the behavioural oracle in
 //! [`crate::refstore`] in three memory-focused ways, none visible through
@@ -31,14 +34,16 @@
 //! 3. **Sealed segments** — aged-out records can be sealed into
 //!    checksummed append-only files ([`crate::segment`]) and replayed on
 //!    boot ([`RouteStore::load_dir`]), reproducing the store exactly.
+//!    Sealing maps arena ids to segment-local ids through dense tables
+//!    instead of re-hashing each record's values.
 
 use crate::arena::{diff_sorted, Interner};
 use crate::cow::{CompactEntry, CowRib, RouteKey};
-use crate::segment::{self, Segment, SegmentBuilder};
+use crate::segment::{self, ArenaSegmentBuilder, Segment};
 use crate::{JoinMode, MatchMode};
 use bgp_types::{
-    Asn, BgpUpdate, CommSetId, LinkSetId, PathId, Prefix, PrefixId, PrefixTrie, Rib, RibEntry,
-    Timestamp, UpdateKind, VpId,
+    Asn, BgpUpdate, CommSetId, Community, Link, LinkSetId, PathId, Prefix, PrefixId, PrefixTrie,
+    Rib, RibEntry, Timestamp, UpdateKind, VpId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -241,6 +246,11 @@ pub struct StoreMemStats {
     pub shed_updates: usize,
 }
 
+/// The live routes of one prefix: (VP, ADD-PATH id) → best route, in
+/// interned form. The path-id key keeps concurrent RFC 7911 routes from one
+/// VP distinct; classic sessions collapse to a single `None` slot per VP.
+type LiveRoutes = BTreeMap<(VpId, Option<u32>), CompactEntry>;
+
 /// Fixed per-record overhead charged to the resident-bytes estimate: the
 /// `Rec` itself, the two timestamp lanes, the shard reference, and an
 /// amortized share of COW node copies and live-table entries.
@@ -254,10 +264,11 @@ pub struct RouteStore {
     /// VPs in first-seen order (stable output for `/vps`).
     vp_order: Vec<VpId>,
     shards: BTreeMap<u64, Shard>,
-    /// prefix → ((vp, ADD-PATH id) → live route), in interned form. The
-    /// path-id key keeps concurrent RFC 7911 routes from one VP distinct;
-    /// classic sessions collapse to a single `None` slot per VP.
-    live: PrefixTrie<BTreeMap<(VpId, Option<u32>), CompactEntry>>,
+    /// Live routes indexed by `PrefixId`; a prefix whose routes are all
+    /// withdrawn keeps an empty map.
+    live: Vec<LiveRoutes>,
+    /// Entries of `live` holding at least one route.
+    live_prefixes: usize,
     /// origin AS → (prefix → number of VPs currently routing it via that
     /// origin). Refcounted so withdrawals retract cleanly.
     origins: HashMap<Asn, BTreeMap<Prefix, usize>>,
@@ -266,6 +277,10 @@ pub struct RouteStore {
     shed: usize,
     /// Per-record byte overhead accumulated so far.
     rec_bytes: u64,
+    /// Reused ingest buffers (an update's communities, then `Cw`).
+    comm_buf: Vec<Community>,
+    /// Reused ingest buffer for `Lw`.
+    link_buf: Vec<Link>,
     /// Sequence number for the next sealed segment.
     next_seq: u64,
     sealed_segments: usize,
@@ -287,11 +302,14 @@ impl RouteStore {
             lanes: HashMap::new(),
             vp_order: Vec::new(),
             shards: BTreeMap::new(),
-            live: PrefixTrie::new(),
+            live: Vec::new(),
+            live_prefixes: 0,
             origins: HashMap::new(),
             total: 0,
             shed: 0,
             rec_bytes: 0,
+            comm_buf: Vec::new(),
+            link_buf: Vec::new(),
             next_seq: 0,
             sealed_segments: 0,
             sealed_updates: 0,
@@ -366,11 +384,9 @@ impl RouteStore {
             path: path_id,
         };
         let aspath_id = interner.paths.intern(&path);
-        let comms_id = CommSetId(
-            interner
-                .comm_sets
-                .intern_sorted(&communities.iter().copied().collect::<Vec<_>>()),
-        );
+        self.comm_buf.clear();
+        self.comm_buf.extend(communities.iter().copied());
+        let comms_id = CommSetId(interner.comm_sets.intern_sorted(&self.comm_buf));
         let prev = lane.rib.get(rkey).copied();
         let prev_origin = prev.map(|pe| interner.paths.get(pe.path).origin());
         let new_origin = interner.paths.get(aspath_id).origin();
@@ -379,17 +395,19 @@ impl RouteStore {
             UpdateKind::Announce => {
                 let (wl, wc) = match prev {
                     Some(pe) => {
-                        let lw = diff_sorted(
+                        diff_sorted(
                             interner.paths.links(pe.path),
                             interner.paths.links(aspath_id),
+                            &mut self.link_buf,
                         );
-                        let cw = diff_sorted(
+                        diff_sorted(
                             interner.comm_sets.get(pe.comms.0),
                             interner.comm_sets.get(comms_id.0),
+                            &mut self.comm_buf,
                         );
                         (
-                            LinkSetId(interner.link_sets.intern_sorted(&lw)),
-                            CommSetId(interner.comm_sets.intern_sorted(&cw)),
+                            LinkSetId(interner.link_sets.intern_sorted(&self.link_buf)),
+                            CommSetId(interner.comm_sets.intern_sorted(&self.comm_buf)),
                         )
                     }
                     None => {
@@ -411,8 +429,8 @@ impl RouteStore {
                 match removed {
                     Some(pe) => {
                         // Lw carries everything the withdrawn route had.
-                        let links = interner.paths.links(pe.path).to_vec();
-                        let wl = LinkSetId(interner.link_sets.intern_sorted(&links));
+                        let links = interner.paths.links(pe.path);
+                        let wl = LinkSetId(interner.link_sets.intern_sorted(links));
                         interner.comm_sets.bump(pe.comms.0);
                         (wl, pe.comms, None)
                     }
@@ -439,31 +457,35 @@ impl RouteStore {
         });
 
         // Looking-glass + origin indexes (lane borrow released above).
+        let slot = pid.0 as usize;
         match kind {
             UpdateKind::Announce => {
                 let entry = new_entry.expect("announce installs a route");
-                if let Some(po) = prev_origin {
-                    retract_origin(&mut self.origins, po, prefix);
-                }
-                add_origin(&mut self.origins, new_origin, prefix);
-                match self.live.get_mut(&prefix) {
-                    Some(routes) => {
-                        routes.insert((vp, path_id), entry);
+                // A re-announcement that keeps the origin leaves the index
+                // as it is.
+                if prev_origin != Some(new_origin) {
+                    if let Some(po) = prev_origin {
+                        retract_origin(&mut self.origins, po, prefix);
                     }
-                    None => {
-                        self.live
-                            .insert(prefix, BTreeMap::from([((vp, path_id), entry)]));
-                    }
+                    add_origin(&mut self.origins, new_origin, prefix);
                 }
+                if slot >= self.live.len() {
+                    self.live.resize_with(slot + 1, LiveRoutes::new);
+                }
+                let routes = &mut self.live[slot];
+                if routes.is_empty() {
+                    self.live_prefixes += 1;
+                }
+                routes.insert((vp, path_id), entry);
             }
             UpdateKind::Withdraw => {
                 if let Some(po) = prev_origin {
                     retract_origin(&mut self.origins, po, prefix);
-                    if let Some(routes) = self.live.get_mut(&prefix) {
-                        routes.remove(&(vp, path_id));
-                        if routes.is_empty() {
-                            self.live.remove(&prefix);
-                        }
+                    // the previous route's announce sized `live` past `slot`
+                    let routes = &mut self.live[slot];
+                    routes.remove(&(vp, path_id));
+                    if routes.is_empty() {
+                        self.live_prefixes -= 1;
                     }
                 }
             }
@@ -496,7 +518,7 @@ impl RouteStore {
             vps: self.lanes.len(),
             shards: self.shards.len(),
             snapshots: self.lanes.values().map(|l| l.snapshots.len()).sum(),
-            live_prefixes: self.live.len(),
+            live_prefixes: self.live_prefixes,
         }
     }
 
@@ -646,9 +668,13 @@ impl RouteStore {
     /// covering prefix that still has a route from the selected view;
     /// more-specifics enumerates the covered subtree.
     pub fn lookup(&self, prefix: &Prefix, mode: MatchMode, vp: Option<VpId>) -> Vec<RouteView> {
-        let keep = |routes: &BTreeMap<(VpId, Option<u32>), CompactEntry>,
-                    pfx: &Prefix,
-                    out: &mut Vec<RouteView>| {
+        // Every prefix with a live route is interned, so the prefix arena
+        // and its trie find them all; prefixes whose routes were all
+        // withdrawn stay there with an empty route map and add nothing.
+        let keep = |id: u32, pfx: &Prefix, out: &mut Vec<RouteView>| {
+            let Some(routes) = self.live.get(id as usize) else {
+                return;
+            };
             for ((v, _path_id), entry) in routes {
                 if vp.is_none_or(|want| *v == want) {
                     out.push(RouteView {
@@ -659,30 +685,27 @@ impl RouteStore {
                 }
             }
         };
+        let prefixes = &self.interner.prefixes;
         let mut out = Vec::new();
         match mode {
             MatchMode::Exact => {
-                if let Some(routes) = self.live.get(prefix) {
-                    keep(routes, prefix, &mut out);
+                if let Some(id) = prefixes.lookup(prefix) {
+                    keep(id.0, prefix, &mut out);
                 }
             }
             MatchMode::Longest => {
-                // walk up from the exact node: longest_match only sees the
-                // best covering node, but that node may have no route from
-                // the requested VP — so widen until one matches.
-                let mut probe = *prefix;
-                while let Some((pfx, routes)) = self.live.longest_match(&probe) {
-                    keep(routes, pfx, &mut out);
-                    if !out.is_empty() || pfx.is_empty() {
+                // The most specific covering prefix may have no route from
+                // the requested VP, so widen until one matches.
+                for (pfx, &id) in prefixes.trie().covering(prefix).into_iter().rev() {
+                    keep(id, pfx, &mut out);
+                    if !out.is_empty() {
                         break;
                     }
-                    // retry strictly above the rejected match
-                    probe = truncate(pfx, pfx.len() - 1);
                 }
             }
             MatchMode::MoreSpecific => {
-                for (pfx, routes) in self.live.more_specifics(prefix) {
-                    keep(routes, pfx, &mut out);
+                for (pfx, &id) in prefixes.trie().more_specifics(prefix) {
+                    keep(id, pfx, &mut out);
                 }
             }
         }
@@ -877,68 +900,81 @@ impl RouteStore {
     /// under `dir`. Returns the file path, or `None` when nothing new aged
     /// out. Records stay resident for serving; sealing is durability.
     pub fn seal_complete_into(&mut self, dir: &Path) -> io::Result<Option<PathBuf>> {
-        let Some((&latest, _)) = self.shards.last_key_value() else {
-            return Ok(None);
-        };
-        let cutoff_ms = latest.saturating_mul(self.cfg.shard_width_ms);
-        self.seal_until(dir, Some(cutoff_ms))
+        self.seal_into(dir, false)
     }
 
     /// Seals *all* unsealed records into one new segment file under `dir`
     /// (shutdown flush). Returns the file path, or `None` if nothing new.
     pub fn seal_all_into(&mut self, dir: &Path) -> io::Result<Option<PathBuf>> {
-        self.seal_until(dir, None)
+        self.seal_into(dir, true)
     }
 
-    /// Seals per-lane records with effective time `< cutoff_ms` (or all when
-    /// `None`). Effective times are monotone per lane, so the sealed range
-    /// is always a lane prefix and `sealed_upto` is a plain watermark.
-    fn seal_until(&mut self, dir: &Path, cutoff_ms: Option<u64>) -> io::Result<Option<PathBuf>> {
-        let mut builder = SegmentBuilder::new(self.next_seq, self.vp_order.clone());
-        let mut new_upto: Vec<usize> = Vec::with_capacity(self.vp_order.len());
+    fn seal_into(&mut self, dir: &Path, all: bool) -> io::Result<Option<PathBuf>> {
+        let Some(pending) = self.prepare_seal(all) else {
+            return Ok(None);
+        };
+        let path = pending.write_into(dir)?;
+        self.commit_seal(pending);
+        Ok(Some(path))
+    }
+
+    /// Builds the next segment without changing the store: the unsealed
+    /// records of complete shards, or of every shard when `all`. `None`
+    /// when there is nothing new to seal.
+    ///
+    /// Effective times are monotone per lane, so the sealed range is always
+    /// a lane prefix and `sealed_upto` is a plain watermark. A store has
+    /// one sealer at a time: nothing else may commit a seal between this
+    /// call and [`RouteStore::commit_seal`] of its result.
+    pub(crate) fn prepare_seal(&self, all: bool) -> Option<PendingSeal> {
+        let cutoff_ms = if all {
+            None
+        } else {
+            let (&latest, _) = self.shards.last_key_value()?;
+            Some(latest.saturating_mul(self.cfg.shard_width_ms))
+        };
+        let mut builder =
+            ArenaSegmentBuilder::new(self.next_seq, self.vp_order.clone(), &self.interner);
+        let mut upto: Vec<usize> = Vec::with_capacity(self.vp_order.len());
         for (vi, vp) in self.vp_order.iter().enumerate() {
             let lane = &self.lanes[vp];
-            let upto = match cutoff_ms {
+            let end = match cutoff_ms {
                 Some(ms) => lane.times.partition_point(|&t| t < ms),
                 None => lane.recs.len(),
             };
-            new_upto.push(upto);
+            upto.push(end);
             let handle = builder.add_lane(vi as u32, lane.sealed_upto as u64);
-            for i in lane.sealed_upto..upto {
+            for i in lane.sealed_upto..end {
                 let rec = &lane.recs[i];
-                builder.push_rec(
+                builder.push(
                     handle,
                     lane.raw_times[i],
-                    self.interner.prefixes.get(rec.prefix),
-                    self.interner.paths.get(rec.path),
-                    self.interner.comm_sets.get(rec.comms.0),
+                    rec.prefix,
+                    rec.path,
+                    rec.comms,
                     rec.kind,
                     rec.path_id,
                 );
             }
         }
         let count = builder.rec_count();
-        if count == 0 {
-            return Ok(None);
-        }
-        let seg = builder.finish();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(segment::segment_file_name(seg.seq));
-        let tmp = dir.join(format!("{}.tmp", segment::segment_file_name(seg.seq)));
-        {
-            let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            seg.write_to(&mut f)?;
-            use io::Write as _;
-            f.flush()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        for (vi, vp) in self.vp_order.iter().enumerate() {
-            self.lanes.get_mut(vp).expect("lane exists").sealed_upto = new_upto[vi];
+        (count > 0).then(|| PendingSeal {
+            seg: builder.finish(),
+            upto,
+            count,
+        })
+    }
+
+    /// Marks a written [`PendingSeal`] as sealed: advances the lanes'
+    /// watermarks, the segment sequence and the counters.
+    pub(crate) fn commit_seal(&mut self, pending: PendingSeal) {
+        assert_eq!(pending.seg.seq, self.next_seq, "one sealer at a time");
+        for (vp, upto) in self.vp_order.iter().zip(pending.upto) {
+            self.lanes.get_mut(vp).expect("lane exists").sealed_upto = upto;
         }
         self.next_seq += 1;
         self.sealed_segments += 1;
-        self.sealed_updates += count;
-        Ok(Some(path))
+        self.sealed_updates += pending.count;
     }
 
     /// Cold-start replay: loads every segment under `dir` in sequence order
@@ -999,6 +1035,34 @@ impl RouteStore {
     }
 }
 
+/// A segment built by [`RouteStore::prepare_seal`] and not yet on disk.
+pub(crate) struct PendingSeal {
+    seg: Segment,
+    /// The watermark each lane advances to, in VP registration order.
+    upto: Vec<usize>,
+    /// Records in `seg`.
+    count: usize,
+}
+
+impl PendingSeal {
+    /// Writes the segment under `dir` through a `.tmp` file and a rename,
+    /// so a crash never leaves a torn segment. Returns the file path.
+    pub(crate) fn write_into(&self, dir: &Path) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let name = segment::segment_file_name(self.seg.seq);
+        let path = dir.join(&name);
+        let tmp = dir.join(format!("{name}.tmp"));
+        {
+            let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
+            self.seg.write_to(&mut f)?;
+            use io::Write as _;
+            f.flush()?;
+        }
+        std::fs::rename(&tmp, &path)?;
+        Ok(path)
+    }
+}
+
 fn add_origin(
     origins: &mut HashMap<Asn, BTreeMap<Prefix, usize>>,
     origin: Option<Asn>,
@@ -1026,14 +1090,6 @@ fn retract_origin(
                 origins.remove(&o);
             }
         }
-    }
-}
-
-/// `prefix` truncated to `len` bits (host bits re-masked).
-fn truncate(p: &Prefix, len: u8) -> Prefix {
-    match p.addr() {
-        std::net::IpAddr::V4(a) => Prefix::v4(a, len.min(32)),
-        std::net::IpAddr::V6(a) => Prefix::v6(a, len.min(128)),
     }
 }
 
@@ -1479,6 +1535,102 @@ mod tests {
             p3.file_name().unwrap().to_str().unwrap()
                 > p2.unwrap().file_name().unwrap().to_str().unwrap()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lane watermarks in VP registration order.
+    fn watermarks(s: &RouteStore) -> Vec<usize> {
+        s.vp_order
+            .iter()
+            .map(|vp| s.lanes[vp].sealed_upto)
+            .collect()
+    }
+
+    /// The bytes of the segment `SegmentBuilder::push_rec` builds by value
+    /// from lane records `from[i]..to[i]` — the oracle for sealing by id.
+    fn seal_by_value(s: &RouteStore, seq: u64, from: &[usize], to: &[usize]) -> Vec<u8> {
+        let mut b = crate::segment::SegmentBuilder::new(seq, s.vp_order.clone());
+        for (vi, vp) in s.vp_order.iter().enumerate() {
+            let lane = &s.lanes[vp];
+            let handle = b.add_lane(vi as u32, from[vi] as u64);
+            for i in from[vi]..to[vi] {
+                let rec = &lane.recs[i];
+                b.push_rec(
+                    handle,
+                    lane.raw_times[i],
+                    s.interner.prefixes.get(rec.prefix),
+                    s.interner.paths.get(rec.path),
+                    s.interner.comm_sets.get(rec.comms.0),
+                    rec.kind,
+                    rec.path_id,
+                );
+            }
+        }
+        let mut buf = Vec::new();
+        b.finish().write_to(&mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn sealing_by_arena_id_writes_the_bytes_sealing_by_value_does() {
+        let dir = scratch("by-id");
+        // Three VPs, v4 and v6, ADD-PATH ids, withdrawals and repeated
+        // attributes, over ten 1 s shards.
+        let stream: Vec<BgpUpdate> = (0..300u64)
+            .map(|i| {
+                let v = vp(1 + (i % 3) as u32);
+                let p: Prefix = if i % 4 == 0 {
+                    format!("2001:db8:{:x}::/48", i % 5).parse().unwrap()
+                } else {
+                    format!("10.{}.0.0/16", i % 7).parse().unwrap()
+                };
+                let b = if i % 6 == 5 {
+                    UpdateBuilder::withdraw(v, p)
+                } else {
+                    UpdateBuilder::announce(v, p)
+                        .path([v.asn.value(), 10 + (i % 4) as u32, 99])
+                        .community(65_000, (i % 3) as u16)
+                };
+                let b = b.at(Timestamp::from_millis(i * 33));
+                if i % 2 == 0 {
+                    b.path_id((i % 3) as u32).build()
+                } else {
+                    b.build()
+                }
+            })
+            .collect();
+        let mut s = RouteStore::new(small_cfg());
+        let (first, second) = stream.split_at(150);
+        let mut seals = Vec::new();
+        for part in [first, second] {
+            for u in part {
+                s.ingest(u.clone());
+            }
+            let (seq, from) = (s.next_seq, watermarks(&s));
+            let path = s
+                .seal_complete_into(&dir)
+                .unwrap()
+                .expect("shards aged out");
+            seals.push((path, seal_by_value(&s, seq, &from, &watermarks(&s))));
+        }
+        let (seq, from) = (s.next_seq, watermarks(&s));
+        let path = s.seal_all_into(&dir).unwrap().expect("tail left");
+        seals.push((path, seal_by_value(&s, seq, &from, &watermarks(&s))));
+
+        for (path, want) in &seals {
+            assert_eq!(&std::fs::read(path).unwrap(), want, "{}", path.display());
+        }
+        let seg = |i: usize| Segment::read_from(&mut &seals[i].1[..]).unwrap();
+        let recs = |i: usize| {
+            seg(i)
+                .lanes
+                .iter()
+                .flat_map(|l| l.recs.clone())
+                .collect::<Vec<_>>()
+        };
+        assert!(recs(0).iter().any(|r| r.path_id.is_some()));
+        assert!(recs(1).iter().any(|r| r.kind == UpdateKind::Withdraw));
+        assert!(seg(1).prefixes.iter().any(|p| p.is_ipv6()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

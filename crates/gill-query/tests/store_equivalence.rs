@@ -30,21 +30,54 @@ impl Rng {
     }
 }
 
-/// Mixed announce/withdraw stream: 8 VPs, 400 prefixes, jittered clocks —
-/// the same shape the `rib_equivalence` oracle uses.
+/// Prefixes covering some of the synthetic /24s (`10.0.0.0/24` to
+/// `10.1.143.0/24`) and /64s (`2001:db8:0:0::/64` up to `2001:db8:0:27::/64`),
+/// so LPM and more-specifics lookups see nested prefixes.
+const COVERING: [&str; 8] = [
+    "10.0.0.0/8",
+    "10.0.0.0/16",
+    "10.1.0.0/16",
+    "10.0.16.0/20",
+    "10.1.32.0/20",
+    "2001:db8::/32",
+    "2001:db8::/48",
+    "2001:db8:0:10::/60",
+];
+
+/// Prefixes every VP withdraws at the end of the stream: a covering /20,
+/// a /24 under the other /20, and a /64 under the /60.
+const ALL_WITHDRAWN: [&str; 3] = ["10.0.16.0/20", "10.1.40.0/24", "2001:db8:0:12::/64"];
+
+fn pfx(s: &str) -> Prefix {
+    s.parse().unwrap()
+}
+
+/// Mixed announce/withdraw stream: 8 VPs, 400 /24s, 40 /64s and the
+/// covering prefixes above, jittered clocks — the shape the
+/// `rib_equivalence` oracle uses, plus nesting and both families. Odd VPs
+/// only ever withdraw the /24s under `10.0.16.0/20`, so their LPM lookups
+/// there must widen to a covering prefix; the stream ends with every VP
+/// withdrawing [`ALL_WITHDRAWN`].
 fn synthetic_stream(n: usize) -> Vec<BgpUpdate> {
     let mut rng = Rng(0x6a09e667f3bcc908);
     let mut t_ms: u64 = 1_000_000;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    let gapped = pfx("10.0.16.0/20");
+    for _ in 0..n - 8 * ALL_WITHDRAWN.len() {
         t_ms = if rng.below(50) == 0 {
             t_ms.saturating_sub(rng.below(2_000))
         } else {
             t_ms + rng.below(400)
         };
-        let vp = VpId::from_asn(Asn(65_000 + (rng.below(8) as u32)));
-        let prefix = Prefix::synthetic(rng.below(400) as u32);
-        let u = if rng.below(5) == 0 {
+        let vp_idx = rng.below(8) as u32;
+        let vp = VpId::from_asn(Asn(65_000 + vp_idx));
+        let prefix = match rng.below(20) {
+            0 => pfx(COVERING[rng.below(COVERING.len() as u64) as usize]),
+            1 | 2 => Prefix::synthetic_v6(rng.below(40) as u32),
+            _ => Prefix::synthetic(rng.below(400) as u32),
+        };
+        let odd_gap = vp_idx % 2 == 1 && prefix.len() == 24 && gapped.covers(&prefix);
+        let u = if odd_gap || rng.below(5) == 0 {
             UpdateBuilder::withdraw(vp, prefix)
                 .at(Timestamp::from_millis(t_ms))
                 .build()
@@ -58,7 +91,41 @@ fn synthetic_stream(n: usize) -> Vec<BgpUpdate> {
         };
         out.push(u);
     }
+    for p in ALL_WITHDRAWN {
+        for vp_idx in 0..8 {
+            t_ms += 10;
+            out.push(
+                UpdateBuilder::withdraw(VpId::from_asn(Asn(65_000 + vp_idx)), pfx(p))
+                    .at(Timestamp::from_millis(t_ms))
+                    .build(),
+            );
+        }
+    }
     out
+}
+
+/// Live-table lookup probes: every tenth synthetic /24, the covering and
+/// withdrawn prefixes, v6 /64s, a /25 and a /24 that are not stored but
+/// have covering routes, and prefixes nothing covers.
+fn lookup_probes() -> Vec<Prefix> {
+    let mut probes: Vec<Prefix> = (0..40u32).map(|q| Prefix::synthetic(q * 10)).collect();
+    probes.extend((16..32).map(Prefix::synthetic));
+    probes.extend(COVERING.iter().chain(&ALL_WITHDRAWN).map(|p| pfx(p)));
+    probes.extend((0..40).step_by(3).map(Prefix::synthetic_v6));
+    probes.extend(
+        [
+            "10.0.17.128/25",
+            "10.1.200.0/24",
+            "10.1.41.0/24",
+            "2001:db8:0:12:8000::/65",
+            "2001:db8:1::/48",
+            "11.0.0.0/8",
+            "0.0.0.0/0",
+            "::/0",
+        ]
+        .map(pfx),
+    );
+    probes
 }
 
 fn small_cfg() -> StoreConfig {
@@ -160,19 +227,44 @@ fn interned_store_is_bit_identical_to_reference() {
         }
     }
 
+    for p in ALL_WITHDRAWN.map(pfx) {
+        assert!(
+            stream
+                .iter()
+                .any(|u| u.prefix == p && u.kind == UpdateKind::Announce),
+            "{p} is announced before it is withdrawn"
+        );
+        assert!(interned.lookup(&p, MatchMode::Exact, None).is_empty());
+    }
+    let vps: Vec<Option<VpId>> = std::iter::once(None)
+        .chain((65_000..65_008u32).map(|a| Some(VpId::from_asn(Asn(a)))))
+        .collect();
+    for p in lookup_probes() {
+        for &vp in &vps {
+            for mode in [
+                MatchMode::Exact,
+                MatchMode::Longest,
+                MatchMode::MoreSpecific,
+            ] {
+                views_eq(
+                    &interned.lookup(&p, mode, vp),
+                    &reference.lookup(&p, mode, vp),
+                    &format!("lookup {p} {mode:?} vp {vp:?}"),
+                );
+            }
+        }
+    }
+    // Odd VPs hold nothing under the withdrawn /20, so their LPM widens
+    // past both to the /16.
+    let odd = Some(VpId::from_asn(Asn(65_001)));
+    let widened = interned.lookup(&Prefix::synthetic(17), MatchMode::Longest, odd);
+    assert!(
+        widened.iter().all(|r| r.prefix == pfx("10.0.0.0/16")) && !widened.is_empty(),
+        "LPM widens to the /16: {widened:?}"
+    );
+
     for q in 0..40u32 {
         let p = Prefix::synthetic(q * 10);
-        for mode in [
-            MatchMode::Exact,
-            MatchMode::Longest,
-            MatchMode::MoreSpecific,
-        ] {
-            views_eq(
-                &interned.lookup(&p, mode, None),
-                &reference.lookup(&p, mode, None),
-                &format!("lookup {p} {mode:?}"),
-            );
-        }
         let mid = Timestamp::from_millis(interned.latest_time().as_millis() / 2);
         views_eq(
             &interned.lookup_at(&p, MatchMode::Exact, None, mid),

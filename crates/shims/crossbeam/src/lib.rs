@@ -5,6 +5,11 @@
 //! Throughput is lower than the real lock-free implementation but the
 //! semantics (disconnect on last sender/receiver drop, non-blocking
 //! `try_send`, `recv_timeout`) match.
+//!
+//! Each side counts its parked threads under the mutex and signals a
+//! condvar only when the other side has someone parked: on Linux a
+//! `Condvar::notify_one` is a futex syscall even with no waiter, which
+//! would otherwise cost every send and every receive one.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +17,7 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
@@ -20,6 +25,10 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `not_empty`.
+        parked_receivers: usize,
+        /// Senders parked on `not_full`.
+        parked_senders: usize,
     }
 
     struct Shared<T> {
@@ -29,8 +38,27 @@ pub mod channel {
     }
 
     impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
             self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Queues `msg` and wakes one parked receiver, if any.
+        fn push(&self, mut st: MutexGuard<'_, State<T>>, msg: T) {
+            st.queue.push_back(msg);
+            let wake = st.parked_receivers > 0;
+            drop(st);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Dequeues a message, waking one parked sender when it frees a slot.
+        fn pop(&self, st: &mut MutexGuard<'_, State<T>>) -> Option<T> {
+            let v = st.queue.pop_front()?;
+            if st.parked_senders > 0 {
+                self.not_full.notify_one();
+            }
+            Some(v)
         }
     }
 
@@ -112,6 +140,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -134,24 +164,24 @@ pub mod channel {
                 }
                 match st.cap {
                     Some(c) if st.queue.len() >= c => {
+                        st.parked_senders += 1;
                         st = self
                             .shared
                             .not_full
                             .wait(st)
                             .unwrap_or_else(|e| e.into_inner());
+                        st.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
-            st.queue.push_back(msg);
-            drop(st);
-            self.shared.not_empty.notify_one();
+            self.shared.push(st, msg);
             Ok(())
         }
 
         /// Queues `msg` without blocking.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut st = self.shared.lock();
+            let st = self.shared.lock();
             if st.receivers == 0 {
                 return Err(TrySendError::Disconnected(msg));
             }
@@ -160,9 +190,7 @@ pub mod channel {
                     return Err(TrySendError::Full(msg));
                 }
             }
-            st.queue.push_back(msg);
-            drop(st);
-            self.shared.not_empty.notify_one();
+            self.shared.push(st, msg);
             Ok(())
         }
 
@@ -183,45 +211,47 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.shared.lock();
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.shared.not_full.notify_one();
+                if let Some(v) = self.shared.pop(&mut st) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked_receivers += 1;
                 st = self
                     .shared
                     .not_empty
                     .wait(st)
                     .unwrap_or_else(|e| e.into_inner());
+                st.parked_receivers -= 1;
             }
         }
 
         /// Dequeues a message, waiting at most `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
             let mut st = self.shared.lock();
+            // the clock is read only once the queue turns out empty
+            let mut deadline = None;
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    drop(st);
-                    self.shared.not_full.notify_one();
+                if let Some(v) = self.shared.pop(&mut st) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + timeout);
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.parked_receivers += 1;
                 let (guard, res) = self
                     .shared
                     .not_empty
                     .wait_timeout(st, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 st = guard;
+                st.parked_receivers -= 1;
                 if res.timed_out() && st.queue.is_empty() {
                     return if st.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -235,9 +265,7 @@ pub mod channel {
         /// Dequeues a message without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.shared.lock();
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.shared.not_full.notify_one();
+            if let Some(v) = self.shared.pop(&mut st) {
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -386,6 +414,95 @@ pub mod channel {
             let got: Vec<u32> = rx.iter().collect();
             t.join().unwrap();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
+        }
+
+        /// A wait that a lost wake-up would stretch to its full length.
+        const LONG: Duration = Duration::from_secs(30);
+        /// Far below `LONG`, far above any scheduling delay.
+        const PROMPT: Duration = Duration::from_secs(5);
+
+        /// Spins until `n` threads are parked on the channel's receive
+        /// (or, with `senders`, send) side.
+        fn await_parked<T>(shared: &Shared<T>, n: usize, senders: bool) {
+            let start = Instant::now();
+            loop {
+                let st = shared.lock();
+                let parked = if senders {
+                    st.parked_senders
+                } else {
+                    st.parked_receivers
+                };
+                if parked == n {
+                    return;
+                }
+                drop(st);
+                assert!(start.elapsed() < PROMPT, "{n} threads never parked");
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn try_send_wakes_a_parked_recv_timeout() {
+            let (tx, rx) = unbounded::<u32>();
+            let shared = Arc::clone(&rx.shared);
+            let start = Instant::now();
+            let t = std::thread::spawn(move || rx.recv_timeout(LONG));
+            await_parked(&shared, 1, false);
+            tx.try_send(7).unwrap();
+            assert_eq!(t.join().unwrap(), Ok(7));
+            assert!(
+                start.elapsed() < PROMPT,
+                "receiver slept {:?}",
+                start.elapsed()
+            );
+        }
+
+        #[test]
+        fn recv_wakes_a_send_blocked_on_a_full_channel() {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.try_send(1).unwrap();
+            let shared = Arc::clone(&tx.shared);
+            let start = Instant::now();
+            let t = std::thread::spawn(move || tx.send(2));
+            await_parked(&shared, 1, true);
+            assert_eq!(rx.recv(), Ok(1));
+            // `send` has no timeout: poll, so a lost wake-up fails the
+            // test instead of hanging it
+            while !t.is_finished() {
+                assert!(start.elapsed() < PROMPT, "sender never woke");
+                std::thread::yield_now();
+            }
+            assert!(t.join().unwrap().is_ok());
+            assert_eq!(rx.recv_timeout(LONG), Ok(2));
+        }
+
+        #[test]
+        fn each_message_wakes_one_of_several_parked_receivers() {
+            const N: usize = 4;
+            let (tx, rx) = unbounded::<usize>();
+            let shared = Arc::clone(&rx.shared);
+            let start = Instant::now();
+            let threads: Vec<_> = (0..N)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || rx.recv_timeout(LONG))
+                })
+                .collect();
+            await_parked(&shared, N, false);
+            for i in 0..N {
+                tx.try_send(i).unwrap();
+            }
+            let mut got: Vec<usize> = threads
+                .into_iter()
+                .map(|t| t.join().unwrap().expect("every receiver gets a message"))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..N).collect::<Vec<_>>());
+            assert!(
+                start.elapsed() < PROMPT,
+                "receivers slept {:?}",
+                start.elapsed()
+            );
         }
     }
 }
