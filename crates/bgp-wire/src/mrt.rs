@@ -11,8 +11,8 @@
 
 use crate::error::{WireError, WireResult};
 use crate::message::BgpMessage;
-use crate::update::DecodeCtx;
-use bgp_types::{Asn, Timestamp};
+use crate::update::{DecodeCtx, UpdateMessage};
+use bgp_types::{Asn, BgpUpdate, Timestamp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -40,6 +40,34 @@ pub struct MrtRecord {
 }
 
 impl MrtRecord {
+    /// The archive record for one collected update, as the collector's
+    /// archive, the looking glass's `/mrt/updates` and the CLI all write
+    /// it: path ids stripped (this subtype carries no ADD-PATH signal),
+    /// the update's VP as the peer, and fixed collector-side addresses
+    /// of the route's family, so v6 updates archive as AFI-2 records.
+    pub fn bgp4mp_update(u: &BgpUpdate, local_as: Asn) -> WireResult<MrtRecord> {
+        let msg = UpdateMessage::from_domain(u)?.without_path_ids();
+        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
+            (
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
+            )
+        } else {
+            (
+                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
+                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
+            )
+        };
+        Ok(MrtRecord {
+            time: u.time,
+            peer_as: u.vp.asn,
+            local_as,
+            peer_ip,
+            local_ip,
+            message: BgpMessage::Update(msg),
+        })
+    }
+
     /// Encodes the record (header + body).
     pub fn encode(&self) -> WireResult<Vec<u8>> {
         let msg = self.message.encode_to_vec()?;
@@ -392,5 +420,32 @@ mod tests {
         }
         assert_eq!(back, good);
         assert_eq!(rd.skipped(), 2);
+    }
+
+    #[test]
+    fn bgp4mp_update_strips_path_ids_and_follows_the_family() {
+        use bgp_types::{UpdateBuilder, VpId};
+        let vp = VpId::from_asn(Asn(64512));
+        for (prefix, afi) in [("192.0.2.0/24", 1u16), ("2001:db8:42::/48", 2)] {
+            let u = UpdateBuilder::announce(vp, prefix.parse().unwrap())
+                .at(Timestamp::from_secs(7))
+                .path([64512, 2])
+                .path_id(9)
+                .build();
+            let rec = MrtRecord::bgp4mp_update(&u, Asn(65000)).unwrap();
+            assert_eq!(rec.peer_as, Asn(64512));
+            assert_eq!(rec.local_as, Asn(65000));
+            assert_eq!(rec.time, u.time);
+            let bytes = rec.encode().unwrap();
+            assert_eq!(u16::from_be_bytes([bytes[22], bytes[23]]), afi);
+            let (back, _) = MrtRecord::decode(&bytes).unwrap().unwrap();
+            assert_eq!(back, rec);
+            let BgpMessage::Update(msg) = back.message else {
+                panic!("not an update");
+            };
+            assert_eq!(msg.announced.len(), 1);
+            assert_eq!(msg.announced[0].prefix, u.prefix);
+            assert_eq!(msg.announced[0].path_id, None);
+        }
     }
 }

@@ -7,9 +7,8 @@
 //! disk pressure deterministically.
 
 use bgp_types::{BgpUpdate, Timestamp};
-use bgp_wire::{BgpMessage, MrtRecord, MrtWriter, UpdateMessage};
+use bgp_wire::{MrtRecord, MrtWriter};
 use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::time::Duration;
 
 /// A retained update together with its reception time.
@@ -76,32 +75,10 @@ impl<W: Write + Send> MrtStorage<W> {
 
 impl<W: Write + Send> Storage for MrtStorage<W> {
     fn store(&mut self, rec: StoredUpdate) {
-        let Ok(msg) = UpdateMessage::from_domain(&rec.update) else {
-            return;
-        };
-        let msg = msg.without_path_ids();
-        // record addresses follow the route's family so v6 days archive
-        // as AFI-2 BGP4MP records
-        let (peer_ip, local_ip) = if rec.update.prefix.is_ipv6() {
-            (
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
-            )
-        } else {
-            (
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
-            )
-        };
-        let record = MrtRecord {
-            time: rec.update.time,
-            peer_as: rec.update.vp.asn,
-            local_as: bgp_types::Asn(self.local_as),
-            peer_ip,
-            local_ip,
-            message: BgpMessage::Update(msg),
-        };
-        let _ = self.writer.write_record(&record);
+        let local_as = bgp_types::Asn(self.local_as);
+        if let Ok(record) = MrtRecord::bgp4mp_update(&rec.update, local_as) {
+            let _ = self.writer.write_record(&record);
+        }
     }
 
     fn stored(&self) -> usize {

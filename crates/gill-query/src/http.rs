@@ -398,6 +398,10 @@ fn serve_connection(
                 let stop = stop.clone();
                 let handle = std::thread::spawn(move || run(stream, stop));
                 if let Ok(mut v) = streamers.lock() {
+                    // an exited thread keeps its stack until joined
+                    for done in v.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
                     v.push(handle);
                 }
                 return;
@@ -784,7 +788,14 @@ mod tests {
     fn takeover_runs_on_streamer_thread_and_joins_on_stop() {
         let cfg = ServerConfig::default();
         let mut srv = HttpServer::start_with("127.0.0.1:0", cfg, |req| {
-            if req.path == "/stream" {
+            if req.path == "/short" {
+                Handled::Takeover(Box::new(|mut stream: TcpStream, _| {
+                    let _ = stream.write_all(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+                          Connection: close\r\nContent-Length: 2\r\n\r\nok",
+                    );
+                }))
+            } else if req.path == "/stream" {
                 Handled::Takeover(Box::new(|mut stream: TcpStream, stop| {
                     let _ = stream.write_all(
                         b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
@@ -809,7 +820,22 @@ mod tests {
         let (code, _) = get(srv.local_addr(), "/other");
         assert_eq!(code, 200);
         assert_eq!(srv.stats().takeovers.load(Ordering::Relaxed), 1);
+        // sequential short takeovers: each new one joins the finished
+        // threads before it, so the list holds the long streamer and at
+        // most the few that had not yet exited
+        for _ in 0..20 {
+            let (code, body) = get(srv.local_addr(), "/short");
+            assert_eq!(code, 200);
+            assert_eq!(body, b"ok");
+        }
+        assert_eq!(srv.stats().takeovers.load(Ordering::Relaxed), 21);
+        let held = srv.streamers.lock().unwrap().len();
+        assert!(
+            held <= 4,
+            "{held} streamer handles kept with one streamer live"
+        );
         srv.stop();
+        assert!(srv.streamers.lock().unwrap().is_empty());
     }
 
     #[test]

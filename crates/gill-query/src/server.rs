@@ -30,10 +30,9 @@ use crate::query::{QueryEngine, RouteQuery, UpdateQuery};
 use crate::store::RouteStore;
 use crate::{JoinMode, MatchMode};
 use bgp_types::{Asn, BgpUpdate, Prefix, Timestamp, VpId};
-use bgp_wire::{BgpMessage, MrtRecord, MrtWriter, TableDump, UpdateMessage};
+use bgp_wire::{MrtRecord, MrtWriter, TableDump};
 use gill_core::{FilterGranularity, FilterHandle};
 use parking_lot::RwLock;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 /// The store handle shared between ingest and serving.
@@ -265,30 +264,9 @@ fn origin(req: &Request, store: &SharedStore) -> Response {
 fn encode_updates_mrt(updates: &[BgpUpdate]) -> std::io::Result<Vec<u8>> {
     let mut w = MrtWriter::new(Vec::new());
     for u in updates {
-        let msg = UpdateMessage::from_domain(u)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            .without_path_ids();
-        // record addresses follow the route's family: v6 updates export as
-        // AFI-2 BGP4MP records, exactly like the collector's archive path
-        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
-            (
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
-            )
-        } else {
-            (
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
-            )
-        };
-        w.write_record(&MrtRecord {
-            time: u.time,
-            peer_as: u.vp.asn,
-            local_as: Asn(65535),
-            peer_ip,
-            local_ip,
-            message: BgpMessage::Update(msg),
-        })?;
+        let record = MrtRecord::bgp4mp_update(u, Asn(65535))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        w.write_record(&record)?;
     }
     w.into_inner()
 }

@@ -26,7 +26,7 @@
 //!
 //! 1. **Attribute interning** — AS paths, community sets, `Lw`/`Cw` sets
 //!    and prefixes live once in refcounted [`Interner`] arenas; a stored
-//!    record is a handful of `u32` ids ([`Rec`]) instead of an owned
+//!    record is a handful of `u32` ids (a `Rec`) instead of an owned
 //!    [`BgpUpdate`]. Full updates are rebuilt on demand, exactly.
 //! 2. **Copy-on-write RIBs** — the per-lane live table and its cadence
 //!    snapshots are [`CowRib`]s: a snapshot is an O(1) root clone sharing
@@ -632,9 +632,10 @@ impl RouteStore {
         Some(self.materialize(&rib))
     }
 
-    /// Number of routes `vp` held at `t` — the reconstruction of [`rib_at`]
-    /// without the final materialization into a [`Rib`], so its cost is the
-    /// snapshot lookup plus the bounded replay alone.
+    /// Number of routes `vp` held at `t` — the reconstruction of
+    /// [`rib_at`](Self::rib_at) without the final materialization into a
+    /// [`Rib`], so its cost is the snapshot lookup plus the bounded replay
+    /// alone.
     pub fn rib_len_at(&self, vp: VpId, t: Timestamp) -> Option<usize> {
         let lane = self.lanes.get(&vp)?;
         let k = lane.count_until(t.as_millis());

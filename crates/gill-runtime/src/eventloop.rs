@@ -1,5 +1,5 @@
 //! The evented session loop: one thread multiplexing many sans-I/O
-//! session machines over a [`ReadinessSource`] and a [`TimerWheel`].
+//! session machines over a [`ReadinessSource`] and one [`Timers`] map.
 //!
 //! The loop owns no protocol logic. `SessionFsm` and `BmpFsm` already
 //! decide *what* happens from bytes and ticks; the loop decides *when*,
@@ -12,7 +12,7 @@
 use crate::conn::EventedConn;
 use crate::reactor::{Event, Interest, ReadinessSource, Token, WAKE_TOKEN};
 use crate::sys::RawFd;
-use crate::timer::{Expired, TimerId, TimerWheel};
+use crate::timer::{Expired, TimerId, Timers};
 use bgp_types::{Timestamp, VpId};
 use gill_bmp::fsm::{BmpCloseReason, BmpEvent, BmpFsm};
 use gill_bmp::listener::BmpStats;
@@ -38,7 +38,7 @@ pub struct LoopStats {
     pub sessions: AtomicUsize,
     /// Readiness events processed (sessions only).
     pub ready_events: AtomicUsize,
-    /// Timer-wheel fires delivered to sessions.
+    /// Timer fires delivered to sessions.
     pub timer_fires: AtomicUsize,
     /// Cross-thread wakes observed.
     pub wakes: AtomicUsize,
@@ -92,9 +92,8 @@ struct Session<T: Transport> {
     /// Peer identity, known once the BGP handshake (or BMP demux)
     /// settles. BGP updates are attributed to it.
     peer: Option<VpId>,
+    /// The armed deadline, if any (its key carries the instant).
     timer: Option<TimerId>,
-    /// The deadline the current timer is armed for (skip re-arm churn).
-    armed_for: Option<u64>,
     /// BGP: whether Established was reached (open/close accounting).
     established: bool,
     /// BMP: whether a valid Initiation was seen.
@@ -112,7 +111,7 @@ pub type EventTap = Box<dyn FnMut(Token, &SessionEvent) + Send>;
 /// links under [`crate::sim::SimReactor`].
 pub struct EventLoop<T: Transport, S: ReadinessSource> {
     source: S,
-    wheel: TimerWheel,
+    timers: Timers,
     clock: Arc<dyn Clock>,
     sessions: Vec<Option<Session<T>>>,
     free: Vec<usize>,
@@ -146,7 +145,7 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         let now = clock.now_ms();
         EventLoop {
             source,
-            wheel: TimerWheel::new(now),
+            timers: Timers::new(now),
             clock,
             sessions: Vec::new(),
             free: Vec::new(),
@@ -205,7 +204,8 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
     /// `machine`. `fd` registers the connection with the readiness
     /// source (None for simulated transports). Starts the machine,
     /// pumps any initial output (an OPEN for active BGP roles) and arms
-    /// its first deadline.
+    /// its first deadline. If registration fails, the session's slot in
+    /// the shared live count is released, as closing it would.
     pub fn add_session(
         &mut self,
         transport: T,
@@ -223,6 +223,9 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         if let Some(fd) = fd {
             if let Err(e) = self.source.register_fd(fd, token, Interest::BOTH) {
                 self.free.push(idx);
+                if let Some(active) = self.active_counter(&machine) {
+                    active.fetch_sub(1, Ordering::Relaxed);
+                }
                 return Err(e);
             }
             self.stats.registered.fetch_add(1, Ordering::Relaxed);
@@ -238,7 +241,6 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
             fd,
             peer: None,
             timer: None,
-            armed_for: None,
             established: false,
             bmp_started: false,
             eof_sent: false,
@@ -271,7 +273,7 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         self.fire_timers(now);
         let timeout = {
             let headroom = self
-                .wheel
+                .timers
                 .next_deadline()
                 .map(|d| d.saturating_sub(now).max(1));
             match (max_wait_ms, headroom) {
@@ -303,22 +305,19 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         Ok(())
     }
 
-    /// Advances the wheel and ticks every session whose deadline fired.
+    /// Fires due timers and ticks every session whose deadline fired.
     fn fire_timers(&mut self, now: u64) {
         let mut fired = std::mem::take(&mut self.fired);
         fired.clear();
-        self.wheel.advance(now, &mut fired);
+        self.timers.advance(now, &mut fired);
         for exp in fired.drain(..) {
             let idx = exp.token as usize;
-            if idx >= self.sessions.len() || self.sessions[idx].is_none() {
-                continue; // session already gone; stale fire
-            }
+            let Some(s) = self.sessions.get_mut(idx).and_then(|s| s.as_mut()) else {
+                continue;
+            };
             self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = self.sessions[idx].as_mut() {
-                s.timer = None;
-                s.armed_for = None;
-                s.machine.tick(now);
-            }
+            s.timer = None;
+            s.machine.tick(now);
             self.drive(idx, now);
         }
         self.fired = fired;
@@ -510,12 +509,11 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
             }
             // re-arm the deadline only when it moved
             let want = s.machine.next_deadline_ms();
-            if want != s.armed_for {
+            if want != s.timer.map(|t| t.deadline) {
                 if let Some(t) = s.timer.take() {
-                    self.wheel.cancel(t);
+                    self.timers.cancel(t);
                 }
-                s.armed_for = want;
-                s.timer = want.map(|d| self.wheel.schedule(d, idx as u64));
+                s.timer = want.map(|d| self.timers.schedule(d, idx as u64));
             }
             return;
         }
@@ -529,7 +527,7 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
             return;
         };
         if let Some(t) = s.timer.take() {
-            self.wheel.cancel(t);
+            self.timers.cancel(t);
         }
         if let Some(fd) = s.fd {
             let _ = self.source.deregister_fd(fd);
@@ -538,12 +536,17 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
         s.conn.shutdown();
         self.free.push(idx);
         self.stats.sessions.fetch_sub(1, Ordering::Relaxed);
-        let counter = match &s.machine {
-            Machine::Bgp(_) => &self.active,
-            Machine::Bmp(_) => &self.bmp_active,
-        };
-        if let Some(active) = counter {
+        if let Some(active) = self.active_counter(&s.machine) {
             active.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The pool-wide live count a session of `machine`'s kind holds a
+    /// slot in.
+    fn active_counter(&self, machine: &Machine) -> Option<&AtomicUsize> {
+        match machine {
+            Machine::Bgp(_) => self.active.as_deref(),
+            Machine::Bmp(_) => self.bmp_active.as_deref(),
         }
     }
 
@@ -569,5 +572,80 @@ impl<T: Transport, S: ReadinessSource> EventLoop<T, S> {
             }
             self.drive(idx, now);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gill_bmp::fsm::BmpSessionConfig;
+    use gill_collector::daemon::DaemonStats;
+    use gill_collector::fsm::{SessionConfig, SessionRole};
+    use gill_collector::transport::{sim_pair, FaultSchedule, SimTransport, VirtualClock};
+    use gill_core::FilterHandle;
+
+    /// A readiness source whose fd table is full: every registration
+    /// fails with EMFILE.
+    struct FullSource;
+
+    impl ReadinessSource for FullSource {
+        fn register_fd(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
+            Err(io::Error::from_raw_os_error(24))
+        }
+
+        fn reregister_fd(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn deregister_fd(&mut self, _: RawFd) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn wait(&mut self, _: &mut Vec<Event>, _: Option<u64>) -> io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn failed_registration_releases_the_admission_slot() {
+        let clock = VirtualClock::new();
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        let ctx = SessionCtx::new(
+            FilterHandle::empty().view(),
+            tx,
+            Arc::new(DaemonStats::default()),
+        );
+        let mut el: EventLoop<SimTransport, FullSource> = EventLoop::new(
+            FullSource,
+            Arc::new(clock.clone()),
+            ctx,
+            Arc::new(BmpStats::default()),
+        );
+        let active = Arc::new(AtomicUsize::new(0));
+        let bmp_active = Arc::new(AtomicUsize::new(0));
+        el.set_active_counter(active.clone());
+        el.set_bmp_active_counter(bmp_active.clone());
+        let link = || sim_pair(&clock, FaultSchedule::none(), FaultSchedule::none()).1;
+        for fd in 0..3 {
+            // the acceptor takes a slot before it hands a stream over
+            active.fetch_add(1, Ordering::Relaxed);
+            let fsm = SessionFsm::new(SessionRole::Passive, SessionConfig::default());
+            assert!(el.add_session(link(), Some(fd), Machine::Bgp(fsm)).is_err());
+            bmp_active.fetch_add(1, Ordering::Relaxed);
+            let fsm = BmpFsm::new(BmpSessionConfig::default(), clock.now_ms());
+            assert!(el.add_session(link(), Some(fd), Machine::Bmp(fsm)).is_err());
+            el.run_once(Some(1), &mut Vec::new()).unwrap();
+        }
+        assert_eq!(active.load(Ordering::Relaxed), 0);
+        assert_eq!(bmp_active.load(Ordering::Relaxed), 0);
+        assert_eq!(el.session_count(), 0);
+        assert_eq!(el.stats().registered.load(Ordering::Relaxed), 0);
+        assert_eq!(el.stats().sessions.load(Ordering::Relaxed), 0);
+        assert_eq!(el.timers.live(), 0);
+        // the failed sessions' slab slot is reused by the next session
+        active.fetch_add(1, Ordering::Relaxed);
+        let fsm = SessionFsm::new(SessionRole::Passive, SessionConfig::default());
+        assert_eq!(el.add_session(link(), None, Machine::Bgp(fsm)).unwrap(), 0);
+        assert_eq!(active.load(Ordering::Relaxed), 1);
     }
 }

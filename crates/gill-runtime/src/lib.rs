@@ -14,9 +14,10 @@
 //! - [`sys`] — the only unsafe code: direct `extern "C"` bindings to
 //!   epoll (Linux) and poll(2), an eventfd/pipe waker, and the
 //!   RLIMIT_NOFILE raise. No external crates.
-//! - [`timer`] — a hierarchical timer wheel (4 levels × 64 slots, 1 ms
-//!   resolution) for hold/keepalive/idle deadlines: O(1) arm/cancel,
-//!   deterministic fire order `(deadline, arm id)`.
+//! - [`timer`] — [`Timers`], one `BTreeMap` keyed by `(deadline, arm
+//!   id)` for hold/keepalive/idle deadlines: O(log n) arm, cancel and
+//!   earliest-deadline lookup, deterministic fire order `(deadline, arm
+//!   id)`, and only live timers held.
 //! - [`reactor`] — [`reactor::Reactor`], the readiness source:
 //!   edge-triggered epoll with a level-triggered poll(2) fallback, and
 //!   cross-thread [`reactor::Waker`]s. The [`ReadinessSource`] trait
@@ -28,7 +29,7 @@
 //!   reads (mandatory under edge triggering), partial-write output
 //!   queueing.
 //! - [`eventloop`] — [`eventloop::EventLoop`], one thread's worth of
-//!   multiplexing: slab of sessions, the wheel, readiness dispatch,
+//!   multiplexing: slab of sessions, the timers, readiness dispatch,
 //!   and the `DaemonStats` / `BmpStats` session counters.
 //! - [`pool`] — [`pool::EventedPool`], the deployable shape: worker 0
 //!   owns the listeners, accepted connections are capacity-checked and
@@ -50,4 +51,4 @@ pub use eventloop::{EventLoop, LoopStats, Machine, LISTENER_TOKEN_BASE};
 pub use pool::{EventedPool, RuntimeConfig, RuntimeTotals};
 pub use reactor::{Event, Interest, Reactor, ReadinessSource, Token, Waker, WAKE_TOKEN};
 pub use sim::SimReactor;
-pub use timer::{Expired, TimerId, TimerWheel};
+pub use timer::{Expired, TimerId, Timers};

@@ -52,11 +52,29 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// The protocol a listener speaks.
+#[derive(Clone)]
+enum Proto {
+    Bgp,
+    Bmp(BmpSessionConfig),
+}
+
 /// Work handed to an event-loop worker.
 enum Cmd {
-    Bgp(TcpStream),
-    Bmp(TcpStream, BmpSessionConfig),
+    /// An accepted stream and the live count it holds a slot in; the
+    /// worker releases the slot if the stream never becomes a session.
+    Admit(TcpStream, Proto, Arc<AtomicUsize>),
     Shutdown,
+}
+
+/// One bound listener and the session cap its accepts count against.
+struct Listener {
+    socket: TcpListener,
+    token: Token,
+    proto: Proto,
+    /// Session cap (0 = unlimited) over `live`.
+    cap: usize,
+    live: Arc<AtomicUsize>,
 }
 
 /// Aggregated per-loop counters (sum over workers).
@@ -68,7 +86,7 @@ pub struct RuntimeTotals {
     pub sessions: usize,
     /// Readiness events processed.
     pub ready_events: usize,
-    /// Timer-wheel fires delivered.
+    /// Timer fires delivered.
     pub timer_fires: usize,
     /// Cross-thread wakes observed.
     pub wakes: usize,
@@ -95,15 +113,10 @@ pub struct EventedPool {
 
 /// Listener-side state owned by worker 0.
 struct Acceptor {
-    bgp: Option<(TcpListener, Token)>,
-    bmp: Vec<(TcpListener, Token, BmpSessionConfig)>,
+    listeners: Vec<Listener>,
     txs: Vec<Sender<Cmd>>,
     wakers: Vec<Waker>,
     next: usize,
-    max_sessions: usize,
-    bmp_max_sessions: usize,
-    active: Arc<AtomicUsize>,
-    bmp_active: Arc<AtomicUsize>,
     stats: Arc<DaemonStats>,
     bmp_stats: Arc<BmpStats>,
     loop_stats: Arc<LoopStats>,
@@ -114,69 +127,41 @@ impl Acceptor {
     /// triggering), shedding over-capacity connections and dispatching
     /// the rest round-robin.
     fn accept_burst(&mut self, token: Token) {
-        // split the borrows: listeners are read while dispatch state
-        // (round-robin cursor, channels) is written
-        let txs = &self.txs;
-        let wakers = &self.wakers;
-        let next = &mut self.next;
-        let mut dispatch = |cmd: Cmd| {
-            let i = *next % txs.len();
-            *next = next.wrapping_add(1);
-            if txs[i].send(cmd).is_ok() {
-                wakers[i].wake();
-            }
-        };
-        if let Some((l, t)) = &self.bgp {
-            if *t == token {
-                loop {
-                    match l.accept() {
-                        Ok((stream, _)) => {
-                            if self.max_sessions > 0
-                                && self.active.load(Ordering::Relaxed) >= self.max_sessions
-                            {
-                                self.loop_stats.accept_shed.fetch_add(1, Ordering::Relaxed);
-                                reject_over_capacity(stream, &self.stats);
-                                continue;
-                            }
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            self.active.fetch_add(1, Ordering::Relaxed);
-                            dispatch(Cmd::Bgp(stream));
-                        }
-                        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-                return;
-            }
-        }
-        let Some((listener, _, cfg)) = self.bmp.iter().find(|(_, t, _)| *t == token) else {
+        let Some(l) = self.listeners.iter().find(|l| l.token == token) else {
             return;
         };
         loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    if self.bmp_max_sessions > 0
-                        && self.bmp_active.load(Ordering::Relaxed) >= self.bmp_max_sessions
-                    {
-                        self.loop_stats.accept_shed.fetch_add(1, Ordering::Relaxed);
+            let mut stream = match l.socket.accept() {
+                Ok((stream, _)) => stream,
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            if l.cap > 0 && l.live.load(Ordering::Relaxed) >= l.cap {
+                self.loop_stats.accept_shed.fetch_add(1, Ordering::Relaxed);
+                match l.proto {
+                    Proto::Bgp => reject_over_capacity(stream, &self.stats),
+                    Proto::Bmp(_) => {
                         self.bmp_stats
                             .accept_rejected
                             .fetch_add(1, Ordering::Relaxed);
                         Transport::shutdown(&mut stream);
-                        continue;
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.bmp_active.fetch_add(1, Ordering::Relaxed);
-                    dispatch(Cmd::Bmp(stream, cfg.clone()));
                 }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+                continue;
+            }
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            l.live.fetch_add(1, Ordering::Relaxed);
+            let i = self.next % self.txs.len();
+            self.next = self.next.wrapping_add(1);
+            match self.txs[i].send(Cmd::Admit(stream, l.proto.clone(), l.live.clone())) {
+                Ok(()) => self.wakers[i].wake(),
+                // the worker is gone: the stream never becomes a session
+                Err(_) => {
+                    l.live.fetch_sub(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -211,11 +196,22 @@ impl EventedPool {
             None => None,
         };
         let bgp_addr = bgp_listener.as_ref().map(|l| l.local_addr()).transpose()?;
-        let mut bmp_listeners = Vec::new();
+        let mut listeners: Vec<Listener> = Vec::new();
+        let mut listen = |socket, proto, cap, live: &Arc<AtomicUsize>| {
+            let token = LISTENER_TOKEN_BASE + listeners.len() as Token;
+            listeners.push(Listener {
+                socket,
+                token,
+                proto,
+                cap,
+                live: live.clone(),
+            });
+        };
+        if let Some(l) = bgp_listener {
+            listen(l, Proto::Bgp, cfg.max_sessions, &active);
+        }
         let mut bmp_addrs = Vec::new();
-        let mut bmp_max_sessions = 0;
         if let Some(bmp_cfg) = &rt.bmp {
-            bmp_max_sessions = bmp_cfg.max_sessions;
             for lst in &bmp_cfg.listeners {
                 let l = TcpListener::bind(&lst.bind)?;
                 bmp_addrs.push(l.local_addr()?);
@@ -224,7 +220,8 @@ impl EventedPool {
                     idle_timeout_ms: lst.idle_timeout_ms,
                     policy: bmp_cfg.policy.clone(),
                 };
-                bmp_listeners.push((l, session_cfg));
+                let cap = bmp_cfg.max_sessions;
+                listen(l, Proto::Bmp(session_cfg), cap, &bmp_active);
             }
         }
 
@@ -252,39 +249,18 @@ impl EventedPool {
         }
 
         // worker 0 owns the listeners
-        let mut acceptor = None;
-        {
-            let el = &mut loops[0];
-            let bgp = match bgp_listener {
-                Some(l) => {
-                    el.register_external(l.as_raw_fd(), LISTENER_TOKEN_BASE)?;
-                    Some((l, LISTENER_TOKEN_BASE))
-                }
-                None => None,
-            };
-            let mut bmp = Vec::new();
-            for (i, (l, scfg)) in bmp_listeners.into_iter().enumerate() {
-                let token = LISTENER_TOKEN_BASE + 1 + i as Token;
-                el.register_external(l.as_raw_fd(), token)?;
-                bmp.push((l, token, scfg));
-            }
-            if bgp.is_some() || !bmp.is_empty() {
-                acceptor = Some(Acceptor {
-                    bgp,
-                    bmp,
-                    txs: txs.clone(),
-                    wakers: wakers.clone(),
-                    next: 0,
-                    max_sessions: cfg.max_sessions,
-                    bmp_max_sessions,
-                    active: active.clone(),
-                    bmp_active: bmp_active.clone(),
-                    stats: pool.session_ctx().stats.clone(),
-                    bmp_stats: bmp_stats.clone(),
-                    loop_stats: loop_stats[0].clone(),
-                });
-            }
+        for l in &listeners {
+            loops[0].register_external(l.socket.as_raw_fd(), l.token)?;
         }
+        let mut acceptor = (!listeners.is_empty()).then(|| Acceptor {
+            listeners,
+            txs: txs.clone(),
+            wakers: wakers.clone(),
+            next: 0,
+            stats: pool.session_ctx().stats.clone(),
+            bmp_stats: bmp_stats.clone(),
+            loop_stats: loop_stats[0].clone(),
+        });
 
         let mut handles = Vec::new();
         for (i, el) in loops.into_iter().enumerate() {
@@ -292,11 +268,10 @@ impl EventedPool {
             let acceptor = if i == 0 { acceptor.take() } else { None };
             let session_cfg = cfg.session_config();
             let clock = clock.clone();
-            let bmp_active = bmp_active.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("gill-evented-{i}"))
-                    .spawn(move || worker_loop(el, rx, acceptor, session_cfg, clock, bmp_active))?,
+                    .spawn(move || worker_loop(el, rx, acceptor, session_cfg, clock))?,
             );
         }
 
@@ -433,14 +408,15 @@ fn join_with_deadline(mut handles: Vec<std::thread::JoinHandle<()>>, deadline: D
 }
 
 /// One worker thread: readiness turns, inbox admission, accept bursts
-/// (worker 0), and the graceful drain on shutdown.
+/// (worker 0), and the graceful drain on shutdown. An admitted stream
+/// that never becomes a session (the worker is draining, or the stream
+/// cannot be registered) gives its slot back.
 fn worker_loop(
     mut el: EventLoop<TcpStream, Reactor>,
     rx: Receiver<Cmd>,
     mut acceptor: Option<Acceptor>,
     session_cfg: gill_collector::fsm::SessionConfig,
     clock: Arc<SystemClock>,
-    bmp_active: Arc<AtomicUsize>,
 ) {
     use gill_collector::transport::Clock;
     let mut other = Vec::new();
@@ -460,24 +436,19 @@ fn worker_loop(
         }
         while let Ok(cmd) = rx.try_recv() {
             match cmd {
-                Cmd::Bgp(stream) => {
-                    if draining {
-                        drop(stream);
-                        continue;
-                    }
-                    let fd = stream.as_raw_fd();
-                    let fsm = SessionFsm::new(SessionRole::Passive, session_cfg);
-                    let _ = el.add_session(stream, Some(fd), Machine::Bgp(fsm));
+                Cmd::Admit(_, _, live) if draining => {
+                    live.fetch_sub(1, Ordering::Relaxed);
                 }
-                Cmd::Bmp(stream, scfg) => {
-                    if draining {
-                        bmp_active.fetch_sub(1, Ordering::Relaxed);
-                        drop(stream);
-                        continue;
-                    }
+                Cmd::Admit(stream, proto, _) => {
                     let fd = stream.as_raw_fd();
-                    let fsm = BmpFsm::new(scfg, clock.now_ms());
-                    let _ = el.add_session(stream, Some(fd), Machine::Bmp(fsm));
+                    let machine = match proto {
+                        Proto::Bgp => {
+                            Machine::Bgp(SessionFsm::new(SessionRole::Passive, session_cfg))
+                        }
+                        Proto::Bmp(scfg) => Machine::Bmp(BmpFsm::new(scfg, clock.now_ms())),
+                    };
+                    // on failure the loop has released the slot
+                    let _ = el.add_session(stream, Some(fd), machine);
                 }
                 Cmd::Shutdown => {
                     if !draining {
@@ -492,6 +463,12 @@ fn worker_loop(
         }
         if draining && (el.session_count() == 0 || Instant::now() >= drain_deadline) {
             break;
+        }
+    }
+    // admissions still queued never become sessions
+    while let Ok(cmd) = rx.try_recv() {
+        if let Cmd::Admit(_, _, live) = cmd {
+            live.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }

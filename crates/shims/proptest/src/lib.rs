@@ -303,7 +303,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

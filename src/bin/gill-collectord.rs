@@ -259,7 +259,7 @@ fn run() -> Result<(), String> {
     if let Some((broker, mut server, _)) = stream {
         broker.close();
         println!(
-            "streamed {} | shed {} | peak subscribers seen {}",
+            "streamed {} | shed {} | subscribers at last publish {}",
             load(&stats.stream_published),
             load(&stats.stream_shed),
             load(&stats.stream_subscribers),

@@ -5,9 +5,8 @@
 //! `gill-replay` and `gill-collectord`.
 
 use crate::types::{Asn, BgpUpdate, Rib, Timestamp, VpId};
-use crate::wire::{BgpMessage, MrtReader, MrtRecord, MrtWriter, UpdateMessage};
+use crate::wire::{BgpMessage, MrtReader, MrtRecord, MrtWriter};
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::Path;
 
 /// Minimal `--key value` argument parser.
@@ -87,30 +86,9 @@ pub fn write_updates_mrt(path: &Path, updates: &[BgpUpdate]) -> std::io::Result<
     let file = std::fs::File::create(path)?;
     let mut w = MrtWriter::new(std::io::BufWriter::new(file));
     for u in updates {
-        let msg = UpdateMessage::from_domain(u)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            .without_path_ids();
-        // record addresses follow the route's family so v6 days archive
-        // as AFI-2 BGP4MP records
-        let (peer_ip, local_ip) = if u.prefix.is_ipv6() {
-            (
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 1)),
-                IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0xff, 0, 0, 0, 0, 0xfe)),
-            )
-        } else {
-            (
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 1)),
-                IpAddr::V4(Ipv4Addr::new(10, 255, 0, 254)),
-            )
-        };
-        w.write_record(&MrtRecord {
-            time: u.time,
-            peer_as: u.vp.asn,
-            local_as: Asn(65535),
-            peer_ip,
-            local_ip,
-            message: BgpMessage::Update(msg),
-        })?;
+        let record = MrtRecord::bgp4mp_update(u, Asn(65535))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        w.write_record(&record)?;
     }
     let n = w.records_written();
     w.into_inner()?;

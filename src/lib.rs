@@ -23,7 +23,7 @@
 //! * [`query`] — the serving half: time-indexed route store and the
 //!   looking-glass HTTP query API (bgproutes.io's role in §9).
 //! * [`runtime`] — the readiness-driven session runtime: an epoll/poll
-//!   reactor, timer wheel, and evented pool multiplexing thousands of
+//!   reactor, ordered timer map, and evented pool multiplexing thousands of
 //!   BGP/BMP sessions over a small fixed worker set.
 //! * [`scenario`] — seeded adversarial-workload engine: bursty background
 //!   traffic plus campaign generators with ground truth, driving the
